@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import coeffs, measures, operators, orlicz, spectral
-from ..errors import ConfigError, ScenarioError
+from ..errors import ConfigError, PredictionUnavailableError, ScenarioError
 from .scenarios import scenario_defaults
 
 SCHEMA_VERSION = 1
@@ -242,8 +242,13 @@ class ExperimentReport:
 
 
 def _prediction_summary(mu, v, mode: str) -> dict:
+    """The predicted trace, or {"available": False, "reason": ...} when no
+    asymptotic prediction exists (non-integer component dimensions)."""
     symbol = coeffs.flagship_symbol(mu.ambient_dim)
-    pred = coeffs.predicted_trace(mu, v, symbol, mode=mode)
+    try:
+        pred = coeffs.predicted_trace(mu, v, symbol, mode=mode)
+    except PredictionUnavailableError as exc:
+        return {"available": False, "reason": str(exc)}
     return {
         "a_plus": pred.a_plus,
         "a_minus": pred.a_minus,
@@ -328,6 +333,14 @@ def _steklov_expected_spectrum(op_cfg: dict, mass: float) -> np.ndarray:
     return np.sort(b2 * mass / (2 * math.pi))[::-1]
 
 
+def _require_prediction(check_name: str, prediction: dict) -> None:
+    if not prediction.get("available", True):
+        raise ConfigError(
+            f"check {check_name!r} needs the predicted trace, which is unavailable: "
+            f"{prediction['reason']}"
+        )
+
+
 def _evaluate_checks(cfg, report_bits) -> list:
     mu = report_bits["mu"]
     primary = report_bits["primary"]
@@ -351,6 +364,7 @@ def _evaluate_checks(cfg, report_bits) -> list:
             fit = plateau_of(primary, sign)
             target = check["target"]
             if target == "predicted":
+                _require_prediction(name, pred_cal)
                 target = pred_cal["a_plus"] if sign == "+" else pred_cal["a_minus"]
             rel = abs(fit.plateau / target - 1.0) if target else math.inf
             entry.update(
@@ -363,6 +377,7 @@ def _evaluate_checks(cfg, report_bits) -> list:
             )
             entry["pass"] = bool(rel <= check["tol"])
         elif kind == "plateau_ratio_mass":
+            _require_prediction(name, pred_cal)
             fit = plateau_of(primary)
             comp = mu.components[0]
             d = int(round(comp.nominal_dim))

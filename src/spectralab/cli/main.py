@@ -19,8 +19,9 @@ def _apply_thread_limit(threads: int | None) -> None:
         threads = os.environ.get(THREAD_ENV)
     if threads is None:
         return
+    # An explicit cap overrides thread variables inherited from the shell.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,6 +101,13 @@ class PointCloudMeasure:
     @property
     def atom_count(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def _nn_spacing(self) -> float:
+        if self.atom_count < 2:
+            return math.inf
+        d, _ = cKDTree(self.positions).query(self.positions, k=2)
+        return float(np.median(d[:, 1]))
 
     def component_slice(self, i: int) -> slice:
         c = self.components[i]
@@ -462,11 +470,11 @@ def ball_mass(measure: PointCloudMeasure, center: Sequence[float], radius: float
 
 
 def nearest_neighbor_spacing(measure: PointCloudMeasure) -> float:
-    """Median nearest-neighbor distance; the resolution scale of the cloud."""
-    if measure.atom_count < 2:
-        return math.inf
-    d, _ = _tree(measure).query(measure.positions, k=2)
-    return float(np.median(d[:, 1]))
+    """Median nearest-neighbor distance; the resolution scale of the cloud.
+
+    Computed once per measure: the measure is immutable, and the pipeline's
+    diagnostics and both resolution-floor checks all ask for it."""
+    return measure._nn_spacing
 
 
 def diameter(measure: PointCloudMeasure) -> float:

@@ -6,6 +6,12 @@ fourier:   compression of the quadratic form onto the truncated Fourier basis
 logkernel: Nystrom matrix of the log-singular kernel of A A* on the atoms of
            the measure (the K K* side; nonzero spectra of the two sides
            coincide).
+
+The fourier and steklov routes are one Toeplitz compression
+M[xi, zeta] = a(xi) a(zeta) F(zeta - xi) with different multipliers and
+coefficients F.  The symbol is even and the density real, so both return M
+as a real symmetric matrix in the cos/sin basis, with the same spectrum as
+the complex Hermitian matrix on the exponentials.
 """
 
 from __future__ import annotations
@@ -54,6 +60,19 @@ class LogKernelSpec:
             raise ValueError("log coefficient must be positive")
 
 
+def _self_adjoint_deviation(m: np.ndarray) -> float:
+    """max |m - m^H|, comparing row blocks of the upper triangle with the
+    matching column blocks so that no n x n temporary is formed."""
+    n = m.shape[0]
+    block = max(1, 2**19 // n)
+    dev = 0.0
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        diff = m[i0:i1, i0:] - m[i0:, i0:i1].T.conj()
+        dev = max(dev, float(np.abs(diff).max()))
+    return dev
+
+
 @dataclass(frozen=True)
 class AssembledOperator:
     """Dense self-adjoint matrix discretizing T, with provenance metadata."""
@@ -66,7 +85,7 @@ class AssembledOperator:
         m = np.ascontiguousarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError("operator matrix must be square and nonempty")
-        dev = np.abs(m - m.conj().T).max()
+        dev = _self_adjoint_deviation(m)
         if dev > HERMITICITY_TOL:
             raise ValueError(f"matrix deviates from self-adjointness by {dev:g}")
         m.flags.writeable = False
@@ -91,6 +110,108 @@ def _frequency_grid(K: int, n_dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _check_budget(modes: int, budget: int, route: str) -> None:
+    if modes > budget:
+        raise BudgetError(f"{modes} {route} modes exceed the budget {budget}")
+
+
+def _fourier_coefficients(
+    positions: np.ndarray, wv: np.ndarray, L: float, K: int
+) -> np.ndarray:
+    """F(eta) = L^{-N} sum_i wv_i exp(2 pi i eta . X_i / L) for |eta|_inf <= 2K.
+
+    Returned as an N-d array centred at eta = 0.  Only the half eta_0 <= 0 is
+    summed (per-axis factors, atoms in chunks to bound the temporaries); the
+    rest is its mirror image, so F(-eta) = conj F(eta) holds exactly.
+    """
+    n_atoms, n_dim = positions.shape
+    diff = np.arange(-2 * K, 2 * K + 1)
+    rows = [diff[: 2 * K + 1]] + [diff] * (n_dim - 1)
+    half = np.zeros(tuple(len(r) for r in rows), dtype=complex)
+    chunk = max(1, 2**20 // sum(len(r) for r in rows))
+    for i0 in range(0, n_atoms, chunk):
+        pos, w = positions[i0 : i0 + chunk], wv[i0 : i0 + chunk]
+        factors = [
+            np.exp(2j * math.pi / L * np.outer(r, pos[:, ax])) for ax, r in enumerate(rows)
+        ]
+        if n_dim == 1:
+            # numpy's pairwise sum: on the 400-atom circle F(0) is off by
+            # 2e-16 relative, against 4e-15 through a gemv
+            half += (factors[0] * w).sum(axis=1)
+        elif n_dim == 2:
+            half += (factors[0] * w) @ factors[1].T
+        else:
+            letters = "abcdef"[:n_dim]
+            spec = ",".join(f"{c}i" for c in letters) + ",i->" + letters
+            half += np.einsum(spec, *factors, w)
+    half /= L**n_dim
+
+    # In C order the flat index of -eta is size - 1 - index(eta), and the
+    # indices up to the centre all have eta_0 <= 0.
+    flat = np.empty(len(diff) ** n_dim, dtype=complex)
+    mid = flat.size // 2
+    flat[: mid + 1] = half.ravel()[: mid + 1]
+    flat[mid] = flat[mid].real
+    flat[mid + 1 :] = flat[:mid][::-1].conj()
+    return flat.reshape((len(diff),) * n_dim)
+
+
+def _toeplitz_compression(
+    coords: np.ndarray, multiplier: np.ndarray, F: np.ndarray
+) -> np.ndarray:
+    """Real symmetric form of M[xi, zeta] = a(xi) a(zeta) F(zeta - xi).
+
+    coords (n, N) are integer frequencies closed under xi -> -xi, multiplier
+    holds an even symbol a at them, and F (centred N-d array) satisfies
+    F(-eta) = conj F(eta) exactly.  M then commutes with u(xi) -> conj u(-xi),
+    so in the orthonormal basis e_0, c_xi = (e_xi + e_-xi)/sqrt2 and
+    s_xi = i (e_xi - e_-xi)/sqrt2 over one representative xi of each pair
+    (first nonzero coordinate positive) it is real symmetric with the same
+    spectrum.  With A = a(xi) a(zeta):
+
+        cc = A [Re F(zeta - xi) + Re F(zeta + xi)]
+        ss = A [Re F(zeta - xi) - Re F(zeta + xi)]
+        cs = -A [Im F(zeta - xi) + Im F(zeta + xi)]
+        zero-mode row: a0^2 F(0), sqrt2 a0 a Re F(zeta), -sqrt2 a0 a Im F(zeta)
+
+    Rows are filled in blocks with the same arithmetic on both sides of the
+    diagonal, so the result is exactly symmetric.
+    """
+    strides = np.array([int(np.prod(F.shape[ax + 1 :])) for ax in range(F.ndim)])
+    offset = coords @ strides  # flat offset from the centre; its sign is lexicographic
+    keep = offset > 0
+    rep, a = offset[keep], multiplier[keep]
+    zero = np.flatnonzero(offset == 0)
+    z, p = len(zero), len(rep)
+    n = z + 2 * p
+    re = np.ascontiguousarray(F.real).ravel()
+    im = np.ascontiguousarray(F.imag).ravel()
+    mid = F.size // 2
+    cols_c, cols_s = slice(z, z + p), slice(z + p, n)
+
+    matrix = np.empty((n, n))
+    if z:
+        a0 = float(multiplier[zero[0]])
+        scale = math.sqrt(2.0) * a0 * a
+        matrix[0, 0] = a0 * a0 * re[mid]
+        matrix[0, cols_c] = matrix[cols_c, 0] = scale * re[mid + rep]
+        matrix[0, cols_s] = matrix[cols_s, 0] = -scale * im[mid + rep]
+
+    block = max(1, 2**19 // max(p, 1))
+    for r0 in range(0, p, block):
+        r1 = min(r0 + block, p)
+        row = rep[r0:r1, None]
+        dif, tot = mid - row + rep, mid + row + rep  # zeta - xi, zeta + xi
+        re_d, re_s, im_d, im_s = re[dif], re[tot], im[dif], im[tot]
+        aa = a[r0:r1, None] * a
+        rows_c, rows_s = slice(z + r0, z + r1), slice(z + p + r0, z + p + r1)
+        matrix[rows_c, cols_c] = aa * (re_d + re_s)
+        matrix[rows_c, cols_s] = aa * -(im_d + im_s)
+        matrix[rows_s, cols_c] = aa * (im_d - im_s)
+        matrix[rows_s, cols_s] = aa * (re_d - re_s)
+    return matrix
+
+
 def assemble_fourier_bs(
     measure: PointCloudMeasure,
     density: SignedDensity,
@@ -102,13 +223,13 @@ def assemble_fourier_bs(
 
     M[xi, xi'] = a(xi) a(xi') L^{-N} sum_i w_i V_i exp(2 pi i (xi' - xi) X_i / L)
     with the multiplier a(xi) = (1 + (2 pi |xi| / L)^2)^{-N/4}.  The measure
-    support must fit in a box of side L/2 (localization margin).
+    support must fit in a box of side L/2 (localization margin).  The matrix
+    is returned in the real cos/sin basis (see _toeplitz_compression).
     """
     check_pairing(measure, density)
     n_dim = measure.ambient_dim
     n_modes = (2 * K + 1) ** n_dim
-    if n_modes > matrix_budget:
-        raise BudgetError(f"{n_modes} Fourier modes exceed the budget {matrix_budget}")
+    _check_budget(n_modes, matrix_budget, "Fourier")
     span = measure.positions.max(axis=0) - measure.positions.min(axis=0)
     if np.any(span > L / 2):
         raise SupportTooLargeError(
@@ -117,36 +238,8 @@ def assemble_fourier_bs(
 
     coords = _frequency_grid(K, n_dim)
     a = (1.0 + (2 * math.pi / L) ** 2 * (coords**2).sum(axis=1)) ** (-n_dim / 4.0)
-    wv = measure.weights * density.values
-
-    # Fourier sums of the weighted measure on the difference grid eta = xi' - xi,
-    # factored per axis: F[eta] = sum_i w_i V_i prod_ax exp(2 pi i eta_ax X_i,ax / L).
-    diff = np.arange(-2 * K, 2 * K + 1)
-    factors = [
-        np.exp(2j * math.pi / L * np.outer(diff, measure.positions[:, ax]))
-        for ax in range(n_dim)
-    ]
-    if n_dim == 1:
-        F = factors[0] @ wv
-    elif n_dim == 2:
-        F = (factors[0] * wv) @ factors[1].T
-    else:
-        letters = "abcdef"[:n_dim]
-        spec = ",".join(f"{c}i" for c in letters) + ",i->" + letters
-        F = np.einsum(spec, *factors, wv)
-    F_flat = F.ravel()
-
-    side = 4 * K + 1
-    strides = side ** np.arange(n_dim - 1, -1, -1)
-    matrix = np.empty((n_modes, n_modes), dtype=complex)
-    block = max(1, 2**22 // n_modes)
-    for i0 in range(0, n_modes, block):
-        i1 = min(i0 + block, n_modes)
-        d = coords[None, :, :] - coords[i0:i1, None, :] + 2 * K
-        idx = d @ strides
-        matrix[i0:i1] = F_flat[idx]
-        matrix[i0:i1] *= a[i0:i1, None] * a[None, :]
-    matrix /= L**n_dim
+    F = _fourier_coefficients(measure.positions, measure.weights * density.values, L, K)
+    matrix = _toeplitz_compression(coords, a, F)
 
     return AssembledOperator(
         matrix=matrix,
@@ -303,10 +396,13 @@ def assemble_steklov_circle(
 ) -> AssembledOperator:
     """Weighted Steklov form on the unit circle over Fourier modes.
 
-    The Dirichlet-to-Neumann operator of the disc acts as |k| on e^{i k t};
-    its inverse square root is undefined on constants, so either the zero
-    mode is dropped (b(k) = |k|^{-1/2}, 1 <= |k| <= K) or all modes are kept
-    with the shifted multiplier b(k) = (|k| + 1)^{-1/2}.
+    M[k, l] = b(k) b(l) (2 pi)^{-1} sum_i w_i V_i exp(i (l - k) theta_i) with
+    theta_i the angle of atom i about `center`.  The Dirichlet-to-Neumann
+    operator of the disc acts as |k| on e^{i k t}; its inverse square root is
+    undefined on constants, so either the zero mode is dropped
+    (b(k) = |k|^{-1/2}, 1 <= |k| <= K) or all modes are kept with the shifted
+    multiplier b(k) = (|k| + 1)^{-1/2}.  The matrix is returned in the real
+    cos/sin basis (see _toeplitz_compression).
     """
     check_pairing(measure, density)
     if measure.ambient_dim != 2:
@@ -319,14 +415,12 @@ def assemble_steklov_circle(
         b = (np.abs(modes) + 1.0) ** -0.5
     else:
         raise ValueError(f"unknown zero-mode policy {zero_mode!r}")
-    if len(modes) > matrix_budget:
-        raise BudgetError(f"{len(modes)} Steklov modes exceed the budget {matrix_budget}")
+    _check_budget(len(modes), matrix_budget, "Steklov")
     theta = circle_angles(measure, center)
-    wv = measure.weights * density.values
-    phases = np.exp(-1j * np.outer(modes, theta))
-    matrix = (phases * wv) @ phases.conj().T / (2 * math.pi)
-    matrix *= b[:, None] * b[None, :]
-    matrix = 0.5 * (matrix + matrix.conj().T)
+    F = _fourier_coefficients(
+        theta[:, None], measure.weights * density.values, 2 * math.pi, K
+    )
+    matrix = _toeplitz_compression(modes[:, None], b, F)
     return AssembledOperator(
         matrix=matrix,
         route="steklov",

@@ -1,6 +1,7 @@
 """Experiment runner and command line: determinism, artifacts, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -164,3 +165,60 @@ def test_config_seed_and_overrides():
     assert cfg.measure["name"] == "circle"  # merged from the scenario default
     assert cfg.measure["params"]["atoms"] == 123
     assert cfg.seed == 17
+
+
+REDUCED_STEKLOV_CANTOR = {
+    "scenario": "steklov_cantor",
+    "operator": {"K": 300},
+    "variants": [{"label": "shift", "operator": {"route": "steklov", "K": 300, "zero_mode": "shift"}}],
+    # at K = 300 the order bound is resolved up to index ~60 (K = 2500 reaches 300)
+    "analysis": {"order_window": [20, 60]},
+}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"scenario": "cantor_line"}, REDUCED_STEKLOV_CANTOR],
+    ids=["cantor_line", "steklov_cantor"],
+)
+def test_cli_fractal_scenarios_complete(tmp_path, raw):
+    # non-integer dimensions have no predicted trace; the run records why and
+    # still reaches its order-bound verdicts
+    cfg = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for mode in ("calibrated", "printed"):
+        assert summary["prediction"][mode]["available"] is False
+        assert "non-integer dimension" in summary["prediction"][mode]["reason"]
+    assert summary["verdicts"] and all(v["pass"] for v in summary["verdicts"])
+    assert not (out / "FAILED").exists()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.1},
+        {"name": "calibrated_selected", "kind": "plateau_ratio_mass", "tol": 0.1},
+    ],
+)
+def test_cli_prediction_check_without_prediction_is_config_error(tmp_path, check):
+    cfg = _write_config(tmp_path, {"scenario": "cantor_line", "checks": [check]})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(cfg)]) == 2
+    assert "stage: verdicts" in (out / "FAILED").read_text()
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_threads_flag_overrides_inherited_blas_variables(monkeypatch):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    monkeypatch.delenv("SPECTRALAB_THREADS", raising=False)
+    assert main(["--threads", "2", "list-scenarios"]) == 0
+    assert all(os.environ[var] == "2" for var in BLAS_THREAD_VARS)
+
+    monkeypatch.setenv("SPECTRALAB_THREADS", "3")
+    assert main(["list-scenarios"]) == 0
+    assert all(os.environ[var] == "3" for var in BLAS_THREAD_VARS)

@@ -243,6 +243,85 @@ def test_steklov_shift_mode():
     assert np.abs(rep.positive - expected).max() <= 1e-12
 
 
+# -- real cos/sin form of the Fourier and Steklov compressions -------------------------
+
+
+def _signed_cloud(rng, n, n_dim, box):
+    # non-uniform weights and a signed density without symmetry, so that the
+    # Fourier coefficients F(eta) have nonzero imaginary parts
+    pos = rng.uniform(0.0, box, size=(n, n_dim))
+    w = rng.uniform(0.2, 1.0, size=n)
+    return PointCloudMeasure.from_atoms(pos, w, 1.0), SignedDensity(rng.normal(0.3, 1.0, n))
+
+
+def _complex_fourier(mu, v, L, K):
+    # M[xi, xi'] = a(xi) a(xi') L^{-N} sum_i w_i V_i exp(2 pi i (xi' - xi) X_i / L)
+    n_dim = mu.ambient_dim
+    axes = np.meshgrid(*[np.arange(-K, K + 1)] * n_dim, indexing="ij")
+    xi = np.stack([m.ravel() for m in axes], axis=-1)
+    a = (1.0 + (2 * math.pi / L) ** 2 * (xi**2).sum(axis=1)) ** (-n_dim / 4.0)
+    e = np.exp(2j * math.pi / L * (xi @ mu.positions.T))
+    m = (e.conj() * (mu.weights * v.values)) @ e.T / L**n_dim
+    return a[:, None] * m * a[None, :]
+
+
+def _complex_steklov(mu, v, K, zero_mode):
+    # M[k, l] = b(k) b(l) (2 pi)^{-1} sum_i w_i V_i exp(i (l - k) theta_i)
+    if zero_mode == "drop":
+        k = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
+        b = np.abs(k) ** -0.5
+    else:
+        k = np.arange(-K, K + 1)
+        b = (np.abs(k) + 1.0) ** -0.5
+    theta = sl.operators.circle_angles(mu)
+    e = np.exp(1j * np.outer(k, theta))
+    m = (e.conj() * (mu.weights * v.values)) @ e.T / (2 * math.pi)
+    return b[:, None] * m * b[None, :]
+
+
+def _signed_circle(rng, n):
+    theta = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    pos = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    mu = PointCloudMeasure.from_atoms(pos, rng.uniform(0.1, 1.0, n), 1.0)
+    return mu, SignedDensity(np.cos(theta) + 0.4 * np.sin(3 * theta) + 0.2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fourier-1d", "fourier-2d", "fourier-3d", "steklov-drop", "steklov-shift"],
+)
+def test_real_form_matches_complex_compression(case):
+    rng = np.random.default_rng(11)
+    if case.startswith("fourier"):
+        n_dim, K = {"fourier-1d": (1, 8), "fourier-2d": (2, 5), "fourier-3d": (3, 2)}[case]
+        mu, v = _signed_cloud(rng, 150, n_dim, 1.5)
+        op = sl.assemble_fourier_bs(mu, v, L=4.0, K=K)
+        ref = _complex_fourier(mu, v, 4.0, K)
+    else:
+        zero_mode = case.split("-")[1]
+        mu, v = _signed_circle(rng, 200)
+        op = sl.assemble_steklov_circle(mu, v, K=20, zero_mode=zero_mode)
+        ref = _complex_steklov(mu, v, 20, zero_mode)
+    assert np.abs(ref.imag).max() > 1e-3  # the test measure is not symmetric
+    assert op.matrix.dtype == np.float64
+    assert np.array_equal(op.matrix, op.matrix.T)
+    got, want = np.linalg.eigvalsh(op.matrix), np.linalg.eigvalsh(ref)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_self_adjointness_check_rejects_one_bad_entry():
+    # the check compares row blocks with column blocks; put the asymmetry
+    # far below the diagonal, outside the first block
+    m = np.zeros((1000, 1000))
+    m[950, 3] = 1e-9
+    with pytest.raises(ValueError, match="self-adjointness"):
+        sl.AssembledOperator(matrix=m, route="fourier")
+    h = np.zeros((5, 5), dtype=complex)
+    h[2, 2] = 1j * 1e-9  # a non-real diagonal entry
+    with pytest.raises(ValueError, match="self-adjointness"):
+        sl.AssembledOperator(matrix=h, route="fourier")
+
+
 # -- export ----------------------------------------------------------------------------
 
 
@@ -258,10 +337,14 @@ def test_operator_binary_round_trip_real(tmp_path):
 
 
 def test_operator_binary_round_trip_complex(tmp_path):
-    mu, v = sl.builtin_measure("circle", {"atoms": 60})
-    op = sl.assemble_steklov_circle(mu, v, K=12)
+    # no assembly route returns a complex matrix; build a Hermitian one by hand
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    op = sl.AssembledOperator(matrix=x + x.conj().T, route="steklov", metadata={"cutoff": 12})
     path = tmp_path / "op.bin"
     sl.save_operator(op, path)
     back = sl.load_operator(path)
+    assert np.iscomplexobj(back.matrix)
     assert np.array_equal(back.matrix, op.matrix)
     assert back.route == "steklov"
+    assert back.metadata == {"cutoff": 12}
