@@ -173,6 +173,16 @@ def _assemble(op_cfg: dict, mu, v) -> operators.AssembledOperator:
     raise ConfigError(f"unknown operator route {route!r}")
 
 
+def _order_window(report: spectral.EigenReport, sign: str, ow) -> dict:
+    """The window order_bounds resolves `ow` to, with the request added when
+    the spectrum is too short to fill it."""
+    lo, hi = spectral.resolve_window(len(report.sequence(sign)), tuple(ow))
+    record = {"window": [lo, hi]}
+    if [lo, hi] != list(ow):
+        record["requested"] = list(ow)
+    return record
+
+
 def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
     out = {
         "route": report.route,
@@ -206,7 +216,7 @@ def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
     ow = analysis.get("order_window")
     if ow is not None and len(report.positive) >= ow[0]:
         lo, hi = spectral.order_bounds(report, "+", window=tuple(ow))
-        out["order_bounds"] = {"window": list(ow), "inf": lo, "sup": hi}
+        out["order_bounds"] = {**_order_window(report, "+", ow), "inf": lo, "sup": hi}
     else:
         out["order_bounds"] = None
     return out
@@ -420,14 +430,18 @@ def _evaluate_checks(cfg, report_bits) -> list:
             entry.update(observed=dix, expected=check.get("target", 0.0), abs_error=err, tol=check["tol"])
             entry["pass"] = bool(err <= check["tol"])
         elif kind == "order_ratio":
-            ow = tuple(analysis["order_window"])
-            lo, hi = spectral.order_bounds(primary, check.get("sign", "+"), window=ow)
+            ow, sign = tuple(analysis["order_window"]), check.get("sign", "+")
+            lo, hi = spectral.order_bounds(primary, sign, window=ow)
             ratio = hi / lo if lo > 0 else math.inf
-            entry.update(observed=ratio, inf=lo, sup=hi, window=list(ow), tol=check["tol"])
+            entry.update(observed=ratio, inf=lo, sup=hi, tol=check["tol"])
+            entry.update(_order_window(primary, sign, ow))
             entry["pass"] = bool(ratio <= check["tol"])
         elif kind == "order_norm_constant":
             ow = tuple(analysis["order_window"])
             _, hi = spectral.order_bounds(primary, "+", window=ow)
+            window = _order_window(primary, "+", ow)
+            if "requested" in window:  # unclipped runs keep their summary bytes
+                entry.update(window)
             av = report_bits["orlicz"]["averaged"]
             fitted = hi / av if av > 0 else math.inf
             factor = check.get("factor", 5.0)

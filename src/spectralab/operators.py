@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import k0 as bessel_k0
 
 from .coeffs import sphere_area
@@ -256,17 +257,17 @@ def assemble_fourier_bs(
 
 
 def _pairwise_distances(measure: PointCloudMeasure) -> tuple[np.ndarray, np.ndarray]:
-    pos = measure.positions
-    sq = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1)
-    n = len(pos)
-    off = sq + np.diag(np.full(n, np.inf))
-    nn = np.sqrt(off.min(axis=1))
+    """Distances between atoms (diagonal set to 1.0, a placeholder for the
+    diagonal rule) and each atom's nearest-neighbour distance."""
+    dist = cdist(measure.positions, measure.positions)
+    n = len(dist)
+    np.fill_diagonal(dist, np.inf)
+    nn = dist.min(axis=1)
     if n == 1:
         nn = np.ones(1)  # no neighbor scale; unit cell convention
     if not np.all(nn > 0):
         raise DegenerateKernelError("coincident atoms: kernel matrix is singular")
-    dist = np.sqrt(sq)
-    np.fill_diagonal(dist, 1.0)  # placeholder, diagonal set by rule below
+    np.fill_diagonal(dist, 1.0)
     return dist, nn
 
 

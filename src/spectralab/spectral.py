@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import SolverError, SpectralWindowError
 from .operators import AssembledOperator
@@ -65,36 +65,92 @@ def _residual_block(n: int, values: np.ndarray, pairs: int) -> tuple[int, int]:
     return n - k, n - 1
 
 
+def _lapack_info(info: int, routine: str, n: int) -> None:
+    if info != 0:
+        raise SolverError(f"LAPACK {routine} returned info = {info} on a {n} x {n} problem")
+
+
+def _tridiagonalize(m: np.ndarray):
+    """Householder reduction M = Q T Q^H, lower storage (?sytrd / ?hetrd).
+
+    Returns (c, d, e, tau): T's diagonal d and subdiagonal e, and the
+    reflectors H_i = I - tau_i v_i v_i^H with v_i[:i+1] = (0, ..., 0, 1) and
+    v_i[i+2:] = c[i+2:, i].  `c` is LAPACK's Fortran-order copy of M.
+    """
+    name = "hetrd" if np.iscomplexobj(m) else "sytrd"
+    trd, trd_lwork = lapack.get_lapack_funcs((name, name + "_lwork"), (m,))
+    n = m.shape[0]
+    work, info = trd_lwork(n, lower=1)
+    _lapack_info(info, trd.typecode + name + " workspace query", n)
+    c, d, e, tau, info = trd(m, lower=1, lwork=int(np.real(work)))
+    _lapack_info(info, trd.typecode + name, n)
+    return c, d, e, tau
+
+
+def _all_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the tridiagonal, ascending (dsterf, root-free QL/QR)."""
+    if len(d) == 1:
+        return d.copy()
+    values, info = lapack.dsterf(d, e)
+    _lapack_info(info, "dsterf", len(d))
+    return values
+
+
+def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, lo: int, hi: int):
+    """Eigenpairs lo..hi (0-based, ascending) of the tridiagonal by bisection
+    (dstebz) and inverse iteration (dstein), as ?syevr does for an index range."""
+    n = len(d)
+    found, w, iblock, isplit, info = lapack.dstebz(d, e, 3, 0.0, 0.0, lo + 1, hi + 1, 0.0, "B")
+    _lapack_info(info, "dstebz", n)
+    if found != hi - lo + 1:
+        raise SolverError(f"dstebz found {found} eigenvalues for the index range [{lo}, {hi}]")
+    w = w[:found]
+    z, info = lapack.dstein(d, e, w, iblock, isplit)
+    _lapack_info(info, "dstein", n)
+    order = np.argsort(w, kind="stable")
+    return w[order], z[:, order]
+
+
+def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Q z for the reduction's Q = H_0 H_1 ... H_{n-2}, applied reflector by
+    reflector to the k columns of z: O(n^2 k), and Q is never formed.  The
+    unit leading entries of the v_i overwrite c's subdiagonal, which holds a
+    copy of e."""
+    n = c.shape[0]
+    sub = np.arange(n - 1)
+    c[sub + 1, sub] = 1.0
+    x = np.array(z, dtype=c.dtype, order="C")
+    for i in range(n - 2, -1, -1):
+        v = c[i + 1 :, i]
+        xs = x[i + 1 :]
+        xs -= np.outer(v, tau[i] * (v.conj() @ xs))
+    return x
+
+
 def eigen_spectrum(
     op: AssembledOperator, residual_pairs: int = 5
 ) -> EigenReport:
     """Full dense self-adjoint eigensolve with a residual spot check.
 
-    All eigenvalues come from one divide-and-conquer solve; a contiguous
-    block of `residual_pairs` eigenpairs at the large-magnitude end is then
-    recomputed with vectors and checked against ||M v - lam v|| <= 1e-8 ||M||.
+    One Householder reduction to a real tridiagonal T serves both steps.
+    All eigenvalues come from dsterf on T.  A contiguous block of
+    `residual_pairs` eigenpairs at the large-magnitude end is then found
+    again on T by bisection and inverse iteration, back-transformed with the
+    reduction's reflectors, and checked against the original matrix:
+    ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf agree to 1e-8 ||M||.
     """
     m = op.matrix
     if not np.all(np.isfinite(m)):
         raise SolverError("operator matrix contains non-finite entries")
     n = op.size
-    try:
-        values = sla.eigh(m, eigvals_only=True, driver="evd", check_finite=False)
-    except Exception as exc:  # pragma: no cover - LAPACK failures are rare
-        raise SolverError(
-            f"dense eigensolve failed on a {n} x {n} matrix: {exc}; "
-            f"max |entry| {np.abs(m).max():g}, fro norm {np.linalg.norm(m):g}"
-        ) from exc
+    c, d, e, tau = _tridiagonalize(m)
+    values = _all_eigenvalues(d, e)
     norm = float(np.abs(values).max(initial=0.0))
 
     if norm > 0 and n >= 2:
         lo, hi = _residual_block(n, values, residual_pairs)
-        try:
-            vals_blk, vecs_blk = sla.eigh(
-                m, subset_by_index=(lo, hi), driver="evr", check_finite=False
-            )
-        except Exception as exc:  # pragma: no cover
-            raise SolverError(f"residual eigenpair recomputation failed: {exc}") from exc
+        vals_blk, z = _tridiagonal_pairs(d, e, lo, hi)
+        vecs_blk = _back_transform(c, tau, z)
         resid = np.linalg.norm(m @ vecs_blk - vecs_blk * vals_blk, axis=0)
         if np.any(resid > RESIDUAL_TOL * norm):
             raise SolverError(
@@ -104,7 +160,8 @@ def eigen_spectrum(
         agree = np.abs(vals_blk - values[lo : hi + 1]).max()
         if agree > RESIDUAL_TOL * norm:
             raise SolverError(
-                f"evd/evr eigenvalue mismatch {agree:g} on the residual block"
+                f"bisection and dsterf eigenvalues differ by {agree:g} on the "
+                f"checked block (||M|| = {norm:g}, size {n})"
             )
 
     floor = EIGENVALUE_FLOOR_FACTOR * norm
@@ -139,11 +196,13 @@ class WeylFit:
             raise ValueError("invalid Weyl fit")
 
 
-def _resolve_window(
+def resolve_window(
     n: int,
     window: tuple[int, int] | None,
-    fractions: tuple[float, float],
+    fractions: tuple[float, float] = DEFAULT_WINDOW_FRACTIONS,
 ) -> tuple[int, int]:
+    """1-indexed inclusive window over n eigenvalues: an explicit window
+    clipped to [1, n], or the given fractions of n."""
     if window is not None:
         lo, hi = int(window[0]), int(window[1])
         lo = max(lo, 1)
@@ -169,7 +228,7 @@ def weyl_plateau(
         raise SpectralWindowError(
             f"need at least {min_count} eigenvalues of sign {sign}, have {len(seq)}"
         )
-    lo, hi = _resolve_window(len(seq), window, window_fractions)
+    lo, hi = resolve_window(len(seq), window, window_fractions)
     k = np.arange(lo, hi + 1, dtype=float)
     products = k * seq[lo - 1 : hi]
     plateau = float(np.median(products))
@@ -227,7 +286,7 @@ def order_bounds(
     seq = report.sequence(sign)
     if len(seq) == 0:
         raise SpectralWindowError("empty spectrum")
-    lo, hi = _resolve_window(len(seq), window, DEFAULT_WINDOW_FRACTIONS)
+    lo, hi = resolve_window(len(seq), window)
     k = np.arange(lo, hi + 1, dtype=float)
     products = k * seq[lo - 1 : hi]
     return float(products.min()), float(products.max())

@@ -195,6 +195,23 @@ def test_cli_fractal_scenarios_complete(tmp_path, raw):
     assert not (out / "FAILED").exists()
 
 
+def test_cli_clipped_order_window_is_recorded(tmp_path):
+    # at K = 300 fewer than 300 eigenvalues lie above the floor, so the
+    # requested window [20, 300] is clipped to the spectrum length
+    raw = {**REDUCED_STEKLOV_CANTOR, "analysis": {"order_window": [20, 300]}}
+    out = tmp_path / "out"
+    # the order-sharpness verdict fails: the window reaches the floor
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    primary = summary["spectral"]["primary"]
+    n_positive = primary["n_positive"]
+    assert n_positive < 300
+    bounds = primary["order_bounds"]
+    assert bounds["window"] == [20, n_positive] and bounds["requested"] == [20, 300]
+    (ratio,) = [v for v in summary["verdicts"] if v["kind"] == "order_ratio"]
+    assert ratio["window"] == [20, n_positive] and ratio["requested"] == [20, 300]
+
+
 @pytest.mark.parametrize(
     "check",
     [

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
+
 import spectralab as sl
-from spectralab.errors import SpectralWindowError
-from spectralab.operators import AssembledOperator
+from spectralab import measures, operators, spectral
+from spectralab.errors import SolverError, SpectralWindowError
+from spectralab.operators import AssembledOperator, load_operator, save_operator
 from spectralab.spectral import (
     DixmierEstimate,
     EigenReport,
@@ -63,6 +66,123 @@ def test_eigen_spectrum_permutation_invariant():
     r1, r2 = sl.eigen_spectrum(op1), sl.eigen_spectrum(op2)
     assert np.abs(r1.positive - r2.positive).max() <= 1e-10
     assert np.abs(r1.negative - r2.negative).max() <= 1e-10
+
+
+def _floored(values):
+    """Reference eigenvalues split by sign above the solver's floor."""
+    floor = spectral.EIGENVALUE_FLOOR_FACTOR * np.abs(values).max(initial=0.0)
+    pos = np.sort(values[values > floor])[::-1]
+    neg = np.sort(-values[values < -floor])[::-1]
+    return pos, neg
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 300])
+def test_eigen_spectrum_complex_hermitian(tmp_path, n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    path = tmp_path / "op.bin"
+    save_operator(AssembledOperator(matrix=a + a.conj().T, route="fourier"), path)
+    op = load_operator(path)
+    assert np.iscomplexobj(op.matrix)
+    rep = sl.eigen_spectrum(op)
+    pos, neg = _floored(np.linalg.eigvalsh(op.matrix))
+    scale = max(pos.max(initial=0.0), neg.max(initial=0.0))
+    assert len(rep.positive) == len(pos) and len(rep.negative) == len(neg)
+    assert np.abs(rep.positive - pos).max(initial=0.0) <= 1e-13 * scale
+    assert np.abs(rep.negative - neg).max(initial=0.0) <= 1e-13 * scale
+
+
+def _circle_op():
+    mu, v = measures.builtin_measure("circle", {"atoms": 300})
+    return operators.assemble_log_kernel(mu, v, operators.LogKernelSpec("bessel_exact_N2"))
+
+
+def _sphere_op():
+    mu, v = measures.builtin_measure("sphere", {"atoms": 400})
+    return operators.assemble_log_kernel(mu, v)
+
+
+def _steklov_op():
+    mu, v = measures.builtin_measure("steklov_cantor", {"depth": 8})
+    return operators.assemble_steklov_circle(mu, v, 100, "shift")
+
+
+@pytest.mark.parametrize(
+    "build", [_circle_op, _sphere_op, _steklov_op], ids=["circle", "sphere", "steklov"]
+)
+def test_eigen_spectrum_bit_identical_to_divide_and_conquer(build):
+    # dsyevd without vectors is the same reduction followed by dsterf
+    op = build()
+    ref = sla.eigh(op.matrix, eigvals_only=True, driver="evd")
+    pos, neg = _floored(ref)
+    rep = sl.eigen_spectrum(op)
+    assert np.array_equal(rep.positive, pos)
+    assert np.array_equal(rep.negative, neg)
+
+
+def test_eigen_spectrum_split_tridiagonal():
+    # a diagonal matrix reduces to e = 0: every block of T is 1 x 1
+    diag = np.array([4.0, -1.0, 0.5, 4.0, -3.0, 2.0, 0.25, -1.0])
+    rep = sl.eigen_spectrum(AssembledOperator(matrix=np.diag(diag), route="logkernel"))
+    assert np.array_equal(rep.positive, [4.0, 4.0, 2.0, 0.5, 0.25])
+    assert np.array_equal(rep.negative, [3.0, 1.0, 1.0])
+
+
+def test_eigen_spectrum_degenerate_checked_block():
+    # a ten-fold top eigenvalue: the five checked pairs cut through the
+    # cluster, and inverse iteration must still return orthogonal vectors
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+    lam = np.concatenate([np.full(10, 5.0), np.linspace(-1.0, 1.0, 40)])
+    m = (q * lam) @ q.T
+    rep = sl.eigen_spectrum(AssembledOperator(matrix=0.5 * (m + m.T), route="logkernel"))
+    assert np.abs(rep.positive[:10] - 5.0).max() <= 1e-13
+    assert rep.positive[10] < 1.0 + 1e-13
+
+
+@pytest.mark.parametrize("entry", [2.5, -0.75, 0.0])
+def test_eigen_spectrum_one_by_one(entry):
+    rep = sl.eigen_spectrum(AssembledOperator(matrix=np.array([[entry]]), route="logkernel"))
+    assert list(rep.positive) == ([entry] if entry > 0 else [])
+    assert list(rep.negative) == ([-entry] if entry < 0 else [])
+    assert rep.size == 1
+
+
+def _positive_definite_op(n=60):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n, n))
+    return AssembledOperator(matrix=a @ a.T + np.eye(n), route="logkernel")
+
+
+def test_eigen_spectrum_agreement_check_fires(monkeypatch):
+    # the checked block is the top end; moving the largest QR eigenvalue by
+    # 1e-6 relative leaves bisection on its own
+    solve = spectral._all_eigenvalues
+
+    def corrupted(d, e):
+        values = solve(d, e).copy()
+        values[-1] *= 1.0 + 1e-6
+        return values
+
+    monkeypatch.setattr(spectral, "_all_eigenvalues", corrupted)
+    with pytest.raises(SolverError, match="bisection and dsterf"):
+        sl.eigen_spectrum(_positive_definite_op())
+
+
+def test_eigen_spectrum_residual_check_fires(monkeypatch):
+    # dropping the first reflector leaves T and every eigenvalue intact but
+    # back-transforms the checked vectors wrongly
+    reduce = spectral._tridiagonalize
+
+    def corrupted(m):
+        c, d, e, tau = reduce(m)
+        tau = tau.copy()
+        tau[0] = 0.0
+        return c, d, e, tau
+
+    monkeypatch.setattr(spectral, "_tridiagonalize", corrupted)
+    with pytest.raises(SolverError, match="eigenpair residual"):
+        sl.eigen_spectrum(_positive_definite_op())
 
 
 # -- counting -------------------------------------------------------------------
