@@ -7,8 +7,10 @@ out of the summary for that reason and land in a sidecar timings file.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,6 +119,68 @@ class ExperimentConfig:
         }
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+}
+_UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_COMPARE_OPS = {
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+}
+
+
+def _parse_density(expr) -> ast.Expression:
+    if not isinstance(expr, str):
+        raise ConfigError(f"density expression must be a string, not {expr!r}")
+    try:
+        return ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"density expression {expr!r} is not valid: {exc.msg}") from exc
+
+
+def _eval_density(node: ast.AST, env: dict):
+    """Evaluate a parsed density expression, allowing only arithmetic, unary
+    signs, single comparisons, int and float literals, the names in `env`, and
+    calls `np.<ufunc>(...)` with one positional argument per ufunc input.
+    Anything else raises ConfigError before it runs."""
+    if isinstance(node, ast.Expression):
+        return _eval_density(node.body, env)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in env:
+        return env[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](
+            _eval_density(node.left, env), _eval_density(node.right, env)
+        )
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_eval_density(node.operand, env))
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _COMPARE_OPS:
+        return _COMPARE_OPS[type(node.ops[0])](
+            _eval_density(node.left, env), _eval_density(node.comparators[0], env)
+        )
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and isinstance(getattr(np, node.func.attr, None), np.ufunc)
+        and len(node.args) == getattr(np, node.func.attr).nin
+        and not node.keywords
+    ):
+        return getattr(np, node.func.attr)(*(_eval_density(a, env) for a in node.args))
+    raise ConfigError(f"density expression may not contain {ast.unparse(node)!r}")
+
+
 def _resolve_density(
     cfg: ExperimentConfig, mu: measures.PointCloudMeasure, default: measures.SignedDensity
 ) -> measures.SignedDensity:
@@ -128,14 +192,13 @@ def _resolve_density(
             np.full(mu.atom_count, float(cfg.density.get("value", 1.0)))
         )
     if kind == "expression":
-        expr = cfg.density["expr"]
-        env = {"np": np, "pi": math.pi}
+        env = {"pi": math.pi}
         names = ["x", "y", "z"]
         for ax in range(mu.ambient_dim):
             env[f"x{ax}"] = mu.positions[:, ax]
             if ax < len(names):
                 env[names[ax]] = mu.positions[:, ax]
-        vals = eval(expr, {"__builtins__": {}}, env)  # declarative configs only
+        vals = _eval_density(_parse_density(cfg.density["expr"]), env)
         return measures.SignedDensity(np.broadcast_to(vals, (mu.atom_count,)).astype(float))
     if kind == "file":
         vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
@@ -621,10 +684,6 @@ def emit_report(report: ExperimentReport, out_dir, formats=("json", "plotdata"))
         with open(path, "w") as f:
             json.dump(_jsonable(report.summary_dict()), f, indent=2, sort_keys=True)
             f.write("\n")
-        written.append(path)
-    if "csv" in formats and report.eigen_primary is not None:
-        path = out / "spectrum.csv"
-        spectral.write_spectrum_csv(report.eigen_primary, path)
         written.append(path)
     if "plotdata" in formats and report.eigen_primary is not None:
         pos = report.eigen_primary.positive

@@ -103,10 +103,14 @@ class PointCloudMeasure:
         return self.positions.shape[0]
 
     @cached_property
+    def _kdtree(self) -> cKDTree:
+        return cKDTree(self.positions)
+
+    @cached_property
     def _nn_spacing(self) -> float:
         if self.atom_count < 2:
             return math.inf
-        d, _ = cKDTree(self.positions).query(self.positions, k=2)
+        d, _ = self._kdtree.query(self.positions, k=2)
         return float(np.median(d[:, 1]))
 
     def component_slice(self, i: int) -> slice:
@@ -450,11 +454,23 @@ def union_measure(
 
 # -- ball statistics ---------------------------------------------------------
 
-_KDTREE_THRESHOLD = 100_000
 
+def _ball_masses(
+    measure: PointCloudMeasure, centers: np.ndarray, radii: np.ndarray
+) -> np.ndarray:
+    """Masses of the closed balls, shape (len(centers), len(radii)).
 
-def _tree(measure: PointCloudMeasure) -> cKDTree:
-    return cKDTree(measure.positions)
+    An atom x lies in B(c, r) when sum_k (x_k - c_k)^2 <= r^2.  Each center
+    takes one weighted, cumulative kd-tree traversal for all radii, on the
+    tree the measure caches."""
+    tree = measure._kdtree
+    w = np.array(measure.weights)  # count_neighbors rejects read-only weights
+    return np.array(
+        [
+            tree.count_neighbors(cKDTree(c[None, :]), radii, weights=(w, None), cumulative=True)
+            for c in centers
+        ]
+    )
 
 
 def ball_mass(measure: PointCloudMeasure, center: Sequence[float], radius: float) -> float:
@@ -462,11 +478,7 @@ def ball_mass(measure: PointCloudMeasure, center: Sequence[float], radius: float
     if radius <= 0:
         raise ValueError("radius must be positive")
     c = np.asarray(center, dtype=float)
-    if measure.atom_count > _KDTREE_THRESHOLD:
-        idx = _tree(measure).query_ball_point(c, radius)
-        return float(measure.weights[idx].sum())
-    dist = np.linalg.norm(measure.positions - c[None, :], axis=1)
-    return float(measure.weights[dist <= radius].sum())
+    return float(_ball_masses(measure, c[None, :], np.array([float(radius)]))[0, 0])
 
 
 def nearest_neighbor_spacing(measure: PointCloudMeasure) -> float:
@@ -534,13 +546,8 @@ def ahlfors_constants(
     else:
         rng = np.random.default_rng(seed)
         centers = measure.positions[rng.choice(n, size=sample_count, replace=False)]
-    lo, hi = math.inf, -math.inf
-    for c in centers:
-        dist = np.linalg.norm(measure.positions - c[None, :], axis=1)
-        masses = np.array([measure.weights[dist <= ri].sum() for ri in r])
-        ratios = masses / r**s
-        lo = min(lo, float(ratios.min()))
-        hi = max(hi, float(ratios.max()))
+    ratios = _ball_masses(measure, centers, r) / r**s
+    lo, hi = float(ratios.min()), float(ratios.max())
     return AhlforsBand(
         exponent=s,
         c_lower=lo,
@@ -587,9 +594,7 @@ def density_bounds(
         raise ValueError("radii must be positive")
     _check_radii_floor(measure, r)
     c = np.asarray(center, dtype=float)
-    dist = np.linalg.norm(measure.positions - c[None, :], axis=1)
-    masses = np.array([measure.weights[dist <= ri].sum() for ri in r])
-    ratios = masses / r**s
+    ratios = _ball_masses(measure, c[None, :], r)[0] / r**s
     lower, upper = float(ratios.min()), float(ratios.max())
     return DensityEstimate(
         exponent=s,
@@ -776,12 +781,12 @@ def save_measure_text(
         )
         for c in measure.components:
             f.write(f"{c.stop - c.start} {c.nominal_dim!r}\n")
-        for i in range(measure.atom_count):
-            cols = [repr(float(x)) for x in measure.positions[i]]
-            cols.append(repr(float(measure.weights[i])))
-            if density is not None:
-                cols.append(repr(float(density.values[i])))
-            f.write(" ".join(cols) + "\n")
+        cols = [*measure.positions.T, measure.weights]
+        if density is not None:
+            cols.append(density.values)
+        f.writelines(
+            " ".join(row) + "\n" for row in zip(*(map(repr, col.tolist()) for col in cols))
+        )
 
 
 def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
@@ -796,8 +801,9 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
             cnt = int(cnt_s)
             comps.append(Component(start, start + cnt, float(dim_s)))
             start += cnt
-        rows = [line.split() for line in f if line.strip()]
-    data = np.array(rows, dtype=float)
+        body = f.read()
+    ncols = len(body.lstrip().split("\n", 1)[0].split())
+    data = np.array(body.split(), dtype=float).reshape(-1, ncols)
     pos = data[:, :ambient]
     w = data[:, ambient]
     v = SignedDensity(data[:, ambient + 1]) if data.shape[1] > ambient + 1 else None

@@ -99,13 +99,6 @@ def young_eval(which: str, t: float) -> float:
     return table[which]()
 
 
-class YoungPair:
-    """The psi/phi pair as evaluable callables (convenience bundle)."""
-
-    psi = staticmethod(psi)
-    phi = staticmethod(phi)
-
-
 @dataclass(frozen=True)
 class OrliczNormResult:
     value: float

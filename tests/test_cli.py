@@ -2,11 +2,13 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectralab.cli.experiment import ExperimentConfig, run_experiment
+from spectralab import measures
+from spectralab.cli.experiment import ExperimentConfig, _resolve_density, run_experiment
 from spectralab.cli.main import main
 from spectralab.errors import ScenarioError
 from spectralab.spectral import read_spectrum_csv
@@ -239,3 +241,34 @@ def test_threads_flag_overrides_inherited_blas_variables(monkeypatch):
     monkeypatch.setenv("SPECTRALAB_THREADS", "3")
     assert main(["list-scenarios"]) == 0
     assert all(os.environ[var] == "3" for var in BLAS_THREAD_VARS)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _density(cfg):
+    mu, default = measures.builtin_measure(cfg.measure["name"], cfg.measure.get("params", {}))
+    x, y = mu.positions.T
+    return x, y, _resolve_density(cfg, mu, default).values
+
+
+def test_density_expressions_match_numpy():
+    x, y, got = _density(ExperimentConfig.from_file(CONFIGS / "circle_coarse_custom.json"))
+    assert np.array_equal(got, 1.0 + 0.5 * np.cos(3 * np.arctan2(y, x)))
+
+    # the form of the benchmark's densities, with its literals printed by repr
+    a, b, m, c = 1.7352, 0.4109, 3, 2.2617
+    expr = f"{a!r} + {b!r} * np.sin({m} * x + {c!r}) * np.cos(y)"
+    raw = {**SMALL_CIRCLE, "density": {"kind": "expression", "expr": expr}}
+    x, y, got = _density(ExperimentConfig.from_dict(raw))
+    assert np.array_equal(got, a + b * np.sin(m * x + c) * np.cos(y))
+
+
+@pytest.mark.parametrize(
+    "expr", ["().__class__.__bases__", "__import__('os').getcwd()", "np.add(x, y, x)"]
+)
+def test_density_expression_outside_whitelist_is_config_error(tmp_path, expr):
+    raw = {**SMALL_CIRCLE, "density": {"kind": "expression", "expr": expr}}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    assert "density expression may not contain" in (out / "FAILED").read_text()

@@ -15,7 +15,7 @@ from spectralab.errors import (
     ResolutionError,
     ScenarioError,
 )
-from spectralab.measures import Component, nearest_neighbor_spacing
+from spectralab.measures import Component, diameter, nearest_neighbor_spacing
 
 LN2_LN3 = math.log(2) / math.log(3)
 
@@ -352,6 +352,69 @@ def test_density_bounds_interior_brackets_two():
     radii = np.geomspace(0.005, 0.09, 10)
     est = sl.density_bounds(mu, 1.0, [0.47, 0.0], radii)
     assert est.lower <= 2.0 <= est.upper or abs(est.lower - 2.0) / 2.0 < 0.05
+
+
+# -- ball statistics against a brute-force oracle --------------------------------
+
+
+def _oracle_masses(mu, centers, radii):
+    """Closed-ball masses by the rule sum_k (x_k - c_k)^2 <= r^2, atom by atom."""
+    out = []
+    for c in np.atleast_2d(np.asarray(centers, dtype=float)):
+        sq = ((mu.positions - c) ** 2).sum(axis=1)
+        out.append([mu.weights[sq <= r * r].sum() for r in radii])
+    return np.array(out)
+
+
+def _random_cloud(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.lognormal(0.0, 1.0, n)  # far from uniform
+    return sl.PointCloudMeasure.from_atoms(rng.random((n, dim)), weights, float(dim)), rng
+
+
+@pytest.mark.parametrize(
+    "n, dim, radii",
+    [
+        (3000, 2, np.geomspace(0.05, 1.2, 6)),
+        (3000, 3, np.geomspace(0.2, 1.5, 6)),
+        (120_000, 2, np.geomspace(0.02, 0.8, 5)),  # above 100k atoms
+    ],
+    ids=["R2", "R3", "R2-120k"],
+)
+def test_ball_statistics_match_oracle(n, dim, radii):
+    mu, rng = _random_cloud(n, dim, seed=dim + n)
+    centers = rng.random((8, dim)) * 1.2 - 0.1  # some outside the cloud's box
+    expected = _oracle_masses(mu, centers, radii)
+    for c, row in zip(centers, expected):
+        got = [sl.ball_mass(mu, c, r) for r in radii]
+        np.testing.assert_allclose(got, row, rtol=1e-12, atol=0.0)
+
+    s = 1.3
+    band = sl.ahlfors_constants(mu, s=s, radii=radii, sample_count=40, seed=11)
+    idx = np.random.default_rng(11).choice(n, size=40, replace=False)
+    ratios = _oracle_masses(mu, mu.positions[idx], radii) / radii**s
+    assert band.c_lower == pytest.approx(ratios.min(), rel=1e-12, abs=0.0)
+    assert band.c_upper == pytest.approx(ratios.max(), rel=1e-12, abs=0.0)
+
+    est = sl.density_bounds(mu, s, centers[0], radii)
+    ratios = expected[0] / radii**s
+    assert est.lower == pytest.approx(ratios.min(), rel=1e-12, abs=0.0)
+    assert est.upper == pytest.approx(ratios.max(), rel=1e-12, abs=0.0)
+
+
+def test_ball_rule_is_squared_distance_at_the_edge():
+    # Around atom 506 of the depth-7 gasket, two atoms lie on the sphere of
+    # radius diam/4 to rounding; the rules |x - c| <= r and |x - c|^2 <= r^2
+    # then disagree by one atom weight.
+    mu, _ = sl.builtin_measure("sierpinski", {"depth": 7})
+    r = diameter(mu) / 4.0
+    c = mu.positions[506]
+    expected = _oracle_masses(mu, [c], [r])[0, 0]
+    norm_rule = mu.weights[np.linalg.norm(mu.positions - c, axis=1) <= r].sum()
+    assert abs(norm_rule - expected) > 1e-3 * expected
+    assert sl.ball_mass(mu, c, r) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    est = sl.density_bounds(mu, 1.0, c, [r])
+    assert est.lower == est.upper == pytest.approx(expected / r, rel=1e-12, abs=0.0)
 
 
 # -- type invariants ---------------------------------------------------------------
