@@ -107,11 +107,16 @@ class PointCloudMeasure:
         return cKDTree(self.positions)
 
     @cached_property
+    def _nn_distances(self) -> np.ndarray:
+        """Each atom's distance to its nearest other atom, from the cached tree."""
+        d, _ = self._kdtree.query(self.positions, k=2)
+        return _readonly(d[:, 1])
+
+    @cached_property
     def _nn_spacing(self) -> float:
         if self.atom_count < 2:
             return math.inf
-        d, _ = self._kdtree.query(self.positions, k=2)
-        return float(np.median(d[:, 1]))
+        return float(np.median(self._nn_distances))
 
     def component_slice(self, i: int) -> slice:
         c = self.components[i]

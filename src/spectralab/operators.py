@@ -22,7 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.linalg import eigh
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf
+from scipy.spatial.distance import pdist, squareform
 from scipy.special import k0 as bessel_k0
 
 from .coeffs import sphere_area
@@ -256,33 +259,49 @@ def assemble_fourier_bs(
     )
 
 
-def _pairwise_distances(measure: PointCloudMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Distances between atoms (diagonal set to 1.0, a placeholder for the
-    diagonal rule) and each atom's nearest-neighbour distance."""
-    dist = cdist(measure.positions, measure.positions)
-    n = len(dist)
-    np.fill_diagonal(dist, np.inf)
-    nn = dist.min(axis=1)
-    if n == 1:
-        nn = np.ones(1)  # no neighbor scale; unit cell convention
+def _nn_distances(measure: PointCloudMeasure) -> np.ndarray:
+    """Each atom's nearest-neighbour distance, the cell scale of the diagonal
+    rule (1.0 for a lone atom: unit cell convention)."""
+    if measure.atom_count == 1:
+        return np.ones(1)
+    nn = measure._nn_distances
     if not np.all(nn > 0):
         raise DegenerateKernelError("coincident atoms: kernel matrix is singular")
-    np.fill_diagonal(dist, 1.0)
-    return dist, nn
+    return nn
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """m <- 0.5 (m + m^T) in place, in row blocks of the upper triangle, so
+    that no n x n temporary is formed."""
+    n = m.shape[0]
+    block = max(1, 2**19 // n)
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        avg = m[i0:i1, i0:] + m[i0:, i0:i1].T
+        avg *= 0.5
+        m[i0:i1, i0:] = avg
+        m[i0:, i0:i1] = avg.T
 
 
 def _log_kernel_matrix(
     measure: PointCloudMeasure, spec: LogKernelSpec
 ) -> tuple[np.ndarray, float]:
+    """The kernel k on the atoms, exactly symmetric: evaluated on the condensed
+    upper triangle of the distances and mirrored, with the diagonal rule."""
     n_dim = measure.ambient_dim
     c_log = spec.log_coefficient or log_kernel_coefficient(n_dim)
-    dist, nn = _pairwise_distances(measure)
+    if spec.kernel_choice == "bessel_exact_N2" and n_dim != 2:
+        raise ValueError("bessel_exact_N2 requires ambient dimension 2")
+    nn = _nn_distances(measure)
+    dist = pdist(measure.positions)
     if spec.kernel_choice == "bessel_exact_N2":
-        if n_dim != 2:
-            raise ValueError("bessel_exact_N2 requires ambient dimension 2")
-        kern = bessel_k0(dist) / (2 * math.pi)
+        tri = bessel_k0(dist, out=dist)
+        tri /= 2 * math.pi
     else:
-        kern = c_log * (-np.log(dist))
+        tri = np.log(dist, out=dist)
+        np.negative(tri, out=tri)
+        tri *= c_log
+    kern = squareform(tri)
     if spec.diagonal_rule == "cell_average":
         # exact 1-d cell mean of -log over a cell of width delta
         diag = c_log * (1.0 - np.log(nn / 2.0))
@@ -295,12 +314,6 @@ def _log_kernel_matrix(
     return kern, c_log
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    lam, q = np.linalg.eigh(matrix)
-    lam = np.clip(lam, 0.0, None)  # clip small negatives (>= -1e-12 scale)
-    return (q * np.sqrt(lam)) @ q.T
-
-
 def assemble_log_kernel(
     measure: PointCloudMeasure,
     density: SignedDensity,
@@ -309,25 +322,36 @@ def assemble_log_kernel(
     """Nystrom matrix of the log-singular K K* kernel on the atoms.
 
     S = sqrt(D) k sqrt(D) with D_i = w_i |V_i|.  For sign-changing V the
-    returned operator is S^{1/2} Sigma S^{1/2} with Sigma = diag(sgn V); its
-    nonzero spectrum equals that of the sign-framed T by the two-sided
-    factorization.
+    returned operator is C^T diag(w V) C with k = C C^T the Cholesky
+    factorization; it is similar to Sigma S with Sigma = diag(sgn V), so its
+    spectrum is that of the sign-framed T by the two-sided factorization.
+    A signed density needs a positive definite k: otherwise
+    DegenerateKernelError names the smallest eigenvalue of k.
     """
     check_pairing(measure, density)
     spec = spec or LogKernelSpec()
     kern, c_log = _log_kernel_matrix(measure, spec)
-    d_vec = measure.weights * np.abs(density.values)
-    root = np.sqrt(d_vec)
-    S = root[:, None] * kern * root[None, :]
-    S = 0.5 * (S + S.T)
-    signs = np.sign(density.values)
-    sign_framed = bool(np.any(signs < 0))
+    sign_framed = bool(np.any(density.values < 0))
     if sign_framed:
-        half = _psd_sqrt(S)
-        matrix = half @ (signs[:, None] * half)
-        matrix = 0.5 * (matrix + matrix.T)
+        # kern is exactly symmetric, so kern.T is k in Fortran order: factor
+        # it in place, then form C^T diag(w V) C with one in-place dtrmm
+        factor, info = dpotrf(kern.T, lower=1, overwrite_a=1)
+        if info:
+            kern, _ = _log_kernel_matrix(measure, spec)
+            lam = float(eigh(kern, eigvals_only=True, subset_by_index=[0, 0])[0])
+            raise DegenerateKernelError(
+                f"kernel matrix is not positive definite (smallest eigenvalue "
+                f"{lam:.6g}); a sign-changing density needs a positive definite kernel"
+            )
+        wv = measure.weights * density.values
+        scaled = np.multiply(factor, wv[:, None], order="F")
+        matrix = dtrmm(1.0, factor, scaled, lower=1, trans_a=1, overwrite_b=1).T
     else:
-        matrix = S
+        root = np.sqrt(measure.weights * np.abs(density.values))
+        kern *= root[:, None]
+        kern *= root[None, :]
+        matrix = kern
+    _symmetrize(matrix)
     return AssembledOperator(
         matrix=matrix,
         route="logkernel",
@@ -358,20 +382,22 @@ def assemble_log_potential(
         raise NegativeDensityError(
             "log potential needs V >= 0; use assemble_log_kernel for signed densities"
         )
-    dist, nn = _pairwise_distances(measure)
-    kern = np.log(dist)
+    nn = _nn_distances(measure)
     if diagonal_rule == "cell_average":
         diag = np.log(nn / 2.0) - 1.0  # cell mean of +log
     elif diagonal_rule == "zero":
         diag = np.zeros(len(nn))
     else:
         raise ValueError(f"unknown diagonal rule {diagonal_rule!r}")
+    dist = pdist(measure.positions)
+    kern = squareform(np.log(dist, out=dist))
     np.fill_diagonal(kern, diag)
     root = np.sqrt(measure.weights * density.values)
-    matrix = root[:, None] * kern * root[None, :]
-    matrix = 0.5 * (matrix + matrix.T)
+    kern *= root[:, None]
+    kern *= root[None, :]
+    _symmetrize(kern)
     return AssembledOperator(
-        matrix=matrix,
+        matrix=kern,
         route="logpotential",
         metadata={
             "diagonal_rule": diagonal_rule,

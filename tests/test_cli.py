@@ -122,6 +122,20 @@ def test_cli_run_exit_codes(tmp_path):
     assert not summary["verdicts"][0]["pass"]
 
 
+def test_cli_signed_density_on_indefinite_kernel_exits_3(tmp_path, capsys):
+    # -log|x - y| is not positive definite on a circle of radius 2, so the
+    # sign framing has no Cholesky factor: a numerical failure, exit code 3
+    raw = {
+        "scenario": "half_signed_circle",
+        "measure": {"params": {"atoms": 400, "radius": 2.0}},
+        "operator": {"kernel": "pure_log"},
+    }
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 3
+    assert "smallest eigenvalue" in capsys.readouterr().err
+    assert "assemble" in (out / "FAILED").read_text()
+
+
 def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     text = capsys.readouterr().out

@@ -2,9 +2,12 @@
 structural invariants, binary round trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.special import k0
 
 import spectralab as sl
 from spectralab.errors import (
@@ -153,6 +156,132 @@ def test_sign_decomposition_counting():
     a = sl.counting(signed, lam, "+")
     b = sl.counting(plus_only, lam, "+")
     assert abs(a - b) <= 0.10 * max(a, b)
+
+
+# -- reference constructions: cdist distances, S^{1/2} Sigma S^{1/2} framing --------
+
+
+def _cdist_and_nn(mu):
+    # the full square of cdist distances (diagonal 1.0) and each atom's
+    # nearest-neighbour distance taken as its row minimum
+    dist = cdist(mu.positions, mu.positions)
+    np.fill_diagonal(dist, np.inf)
+    nn = dist.min(axis=1)
+    np.fill_diagonal(dist, 1.0)
+    return dist, nn
+
+
+def _cdist_kernel(mu, spec):
+    dist, nn = _cdist_and_nn(mu)
+    c_log = sl.operators.log_kernel_coefficient(mu.ambient_dim)
+    if spec.kernel_choice == "bessel_exact_N2":
+        kern = k0(dist) / (2 * math.pi)
+        diag = c_log * (1.0 - np.log(nn / 2.0)) + c_log * (math.log(2.0) - np.euler_gamma)
+    else:
+        kern = c_log * (-np.log(dist))
+        diag = c_log * (1.0 - np.log(nn / 2.0))
+    np.fill_diagonal(kern, diag)
+    return kern
+
+
+def _root_scaled(kern, root):
+    s = root[:, None] * kern * root[None, :]
+    return 0.5 * (s + s.T)
+
+
+def _eigh_sign_frame(kern, mu, v):
+    # S^{1/2} Sigma S^{1/2} with S = sqrt(D) k sqrt(D), D = w |V|
+    s = _root_scaled(kern, np.sqrt(mu.weights * np.abs(v.values)))
+    lam, q = np.linalg.eigh(s)
+    half = (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.T
+    return half @ (np.sign(v.values)[:, None] * half)
+
+
+def _framing_case(case):
+    rng = np.random.default_rng(23)
+    if case == "half_signed_circle":
+        mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 400})
+        return mu, v, sl.LogKernelSpec("bessel_exact_N2")
+    if case == "R2-lognormal-zeros":
+        n = 300
+        mu = PointCloudMeasure.from_atoms(
+            rng.uniform(0.0, 1.0, size=(n, 2)), rng.lognormal(0.0, 1.0, n), 1.0
+        )
+        values = rng.normal(0.0, 1.0, n)
+        values[rng.choice(n, 25, replace=False)] = 0.0
+        return mu, SignedDensity(values), sl.LogKernelSpec("bessel_exact_N2")
+    n = 150
+    mu = PointCloudMeasure.from_atoms(
+        rng.uniform(0.0, 0.5, size=(n, 3)), rng.lognormal(0.0, 0.5, n), 2.0
+    )
+    return mu, SignedDensity(rng.normal(0.2, 1.0, n)), sl.LogKernelSpec("pure_log")
+
+
+@pytest.mark.parametrize("case", ["half_signed_circle", "R2-lognormal-zeros", "R3-pure-log"])
+def test_cholesky_framing_matches_eigh_framing(case):
+    mu, v, spec = _framing_case(case)
+    op = sl.assemble_log_kernel(mu, v, spec)
+    assert op.metadata["sign_framed"]
+    m = op.matrix
+    assert m.shape == (mu.atom_count, mu.atom_count)
+    assert np.array_equal(m, m.T)
+    got = np.linalg.eigvalsh(m)
+    want = np.linalg.eigvalsh(_eigh_sign_frame(_cdist_kernel(mu, spec), mu, v))
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    zeros = int(np.sum(v.values == 0))
+    assert int(np.sum(np.abs(got) <= 1e-12 * scale)) == zeros
+    assert int(np.sum(np.abs(want) <= 1e-12 * scale)) == zeros
+
+
+@pytest.mark.parametrize("radius", [2.0, 1.0])
+def test_signed_density_on_indefinite_kernel_raises(radius):
+    # -log|x - y| on a circle of radius >= 1 is not positive definite; the
+    # smallest eigenvalue of k is -176.5 at radius 2 and -0.023 at radius 1
+    mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 1600, "radius": radius})
+    with pytest.raises(DegenerateKernelError, match="not positive definite") as err:
+        sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("pure_log"))
+    named = float(re.search(r"smallest eigenvalue (\S+)\)", str(err.value)).group(1))
+    smallest = np.linalg.eigvalsh(_cdist_kernel(mu, sl.LogKernelSpec("pure_log")))[0]
+    assert smallest < 0
+    assert named == pytest.approx(smallest, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "name, params, kernel",
+    [
+        ("circle", {"atoms": 800}, "bessel_exact_N2"),
+        ("sphere", {"atoms": 1000}, "pure_log"),
+        ("segment", {"atoms": 500}, "pure_log"),
+    ],
+)
+def test_unsigned_log_kernel_bit_identical_to_cdist(name, params, kernel):
+    mu, v = sl.builtin_measure(name, params)
+    spec = sl.LogKernelSpec(kernel)
+    op = sl.assemble_log_kernel(mu, v, spec)
+    ref = _root_scaled(_cdist_kernel(mu, spec), np.sqrt(mu.weights * v.values))
+    assert np.array_equal(op.matrix, ref)
+
+
+def test_log_potential_bit_identical_to_cdist():
+    mu, v = sl.builtin_measure("cantor_line", {"depth": 8})
+    dist, nn = _cdist_and_nn(mu)
+    kern = np.log(dist)
+    np.fill_diagonal(kern, np.log(nn / 2.0) - 1.0)
+    ref = _root_scaled(kern, np.sqrt(mu.weights * v.values))
+    assert np.array_equal(sl.assemble_log_potential(mu, v).matrix, ref)
+
+
+@pytest.mark.parametrize("name", sl.measures.BUILTIN_MEASURES)
+def test_tree_nearest_neighbour_distances_match_cdist(name):
+    mu, _ = sl.builtin_measure(name)
+    assert mu.atom_count < 20_000
+    minima = np.empty(mu.atom_count)
+    for i0 in range(0, mu.atom_count, 500):
+        rows = cdist(mu.positions[i0 : i0 + 500], mu.positions)
+        rows[np.arange(len(rows)), np.arange(i0, i0 + len(rows))] = np.inf
+        minima[i0 : i0 + 500] = rows.min(axis=1)
+    assert np.array_equal(mu._nn_distances, minima)
 
 
 def test_boundedness_stability_across_refinements():
