@@ -12,13 +12,19 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import coeffs, measures, operators, orlicz, spectral
-from ..errors import ConfigError, PredictionUnavailableError, ScenarioError
+from ..errors import (
+    ConfigError,
+    PredictionUnavailableError,
+    ScenarioError,
+    SpectralWindowError,
+)
 from .scenarios import scenario_defaults
 
 SCHEMA_VERSION = 1
@@ -79,44 +85,68 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def validate(self) -> None:
-        if self.measure.get("name") not in measures.BUILTIN_MEASURES:
+        ambient_dim = measures.BUILTIN_MEASURES.get(self.measure.get("name"))
+        if ambient_dim is None:
             raise ScenarioError(f"unknown measure {self.measure.get('name')!r}")
-        route = self.operator.get("route")
-        if route not in ("fourier", "logkernel", "logpotential", "steklov"):
-            raise ConfigError(f"unknown operator route {route!r}")
-        budget = int(self.operator.get("budget", operators.DEFAULT_MATRIX_BUDGET))
-        if route == "fourier":
-            if "L" not in self.operator or "K" not in self.operator:
-                raise ConfigError("fourier route needs torus period L and cutoff K")
-            n_dim = 2  # catalog measures used with this route live in the plane
-            modes = (2 * int(self.operator["K"]) + 1) ** n_dim
-            if modes > budget:
-                raise ConfigError(f"{modes} Fourier modes exceed the budget {budget}")
-        if route == "steklov":
-            if "K" not in self.operator:
-                raise ConfigError("steklov route needs a Fourier cutoff K")
-            if 2 * int(self.operator["K"]) + 1 > budget:
-                raise ConfigError("Steklov cutoff exceeds the matrix budget")
-        win = self.analysis.get("window")
-        if win is not None and (len(win) != 2 or win[0] < 1 or win[1] < win[0]):
-            raise ConfigError(f"invalid analysis window {win!r}")
+        for op_cfg in (self.operator, self.compare, *(v["operator"] for v in self.variants)):
+            if op_cfg is not None:
+                _validate_operator(op_cfg, ambient_dim)
+        for key in ("window", "order_window"):
+            win = self.analysis.get(key)
+            if win is not None and (len(win) != 2 or win[0] < 1 or win[1] < win[0]):
+                raise ConfigError(f"invalid analysis {key} {win!r}")
         kind = self.density.get("kind", "default")
         if kind not in ("default", "constant", "expression", "file"):
             raise ConfigError(f"unknown density kind {kind!r}")
+        for check in self.checks:
+            _validate_check(check, self)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "measure": self.measure,
-            "density": self.density,
-            "operator": self.operator,
-            "analysis": self.analysis,
-            "checks": self.checks,
-            "compare": self.compare,
-            "variants": self.variants,
-            "output": self.output,
-        }
+        """The config as plain data (perfbench records it with each case)."""
+        return asdict(self)
+
+
+def _validate_operator(op_cfg: dict, ambient_dim: int) -> None:
+    route = op_cfg.get("route")
+    if route not in ("fourier", "logkernel", "logpotential", "steklov"):
+        raise ConfigError(f"unknown operator route {route!r}")
+    budget = int(op_cfg.get("budget", operators.DEFAULT_MATRIX_BUDGET))
+    if route == "fourier":
+        if "L" not in op_cfg or "K" not in op_cfg:
+            raise ConfigError("fourier route needs torus period L and cutoff K")
+        modes = (2 * int(op_cfg["K"]) + 1) ** ambient_dim
+        if modes > budget:
+            raise ConfigError(f"{modes} Fourier modes exceed the budget {budget}")
+    if route == "steklov":
+        if "K" not in op_cfg:
+            raise ConfigError("steklov route needs a Fourier cutoff K")
+        if 2 * int(op_cfg["K"]) + 1 > budget:
+            raise ConfigError("Steklov cutoff exceeds the matrix budget")
+    bessel = route == "logkernel" and op_cfg.get("kernel") == "bessel_exact_N2"
+    if (route == "steklov" or bessel) and ambient_dim != 2:
+        raise ConfigError(f"operator {op_cfg} needs a measure in the plane, not in R^{ambient_dim}")
+
+
+def _validate_check(check: dict, cfg: ExperimentConfig) -> None:
+    name = check.get("name", check.get("kind"))
+    kind = _CHECKS.get(check.get("kind"))
+    if kind is None:
+        raise ConfigError(f"check {name!r} has unknown kind {check.get('kind')!r}")
+    missing = [key for key in kind.fields if key not in check]
+    if missing:
+        raise ConfigError(f"check {name!r} needs {', '.join(missing)}")
+    present = {
+        "compare": cfg.compare is not None,
+        "analysis.order_window": "order_window" in cfg.analysis,
+        "a steklov operator": cfg.operator.get("route") == "steklov",
+    }
+    if kind.needs is not None and not present[kind.needs]:
+        raise ConfigError(f"check {name!r} needs {kind.needs} in the config")
+    if check.get("sign", "+") not in kind.signs:
+        signs = " or ".join(kind.signs)
+        raise ConfigError(f"check {name!r} reads sign {signs}, not {check['sign']!r}")
+    if "variant" in kind.fields and check["variant"] not in {v["label"] for v in cfg.variants}:
+        raise ConfigError(f"check {name!r} names no variant of this config: {check['variant']!r}")
 
 
 _BINARY_OPS = {
@@ -202,6 +232,8 @@ def _resolve_density(
         return measures.SignedDensity(np.broadcast_to(vals, (mu.atom_count,)).astype(float))
     if kind == "file":
         vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
+        if len(vals) != mu.atom_count:
+            raise ConfigError(f"density file holds {len(vals)} values for {mu.atom_count} atoms")
         return measures.SignedDensity(vals)
     raise ConfigError(f"unknown density kind {kind!r}")
 
@@ -236,16 +268,6 @@ def _assemble(op_cfg: dict, mu, v) -> operators.AssembledOperator:
     raise ConfigError(f"unknown operator route {route!r}")
 
 
-def _order_window(report: spectral.EigenReport, sign: str, ow) -> dict:
-    """The window order_bounds resolves `ow` to, with the request added when
-    the spectrum is too short to fill it."""
-    lo, hi = spectral.resolve_window(len(report.sequence(sign)), tuple(ow))
-    record = {"window": [lo, hi]}
-    if [lo, hi] != list(ow):
-        record["requested"] = list(ow)
-    return record
-
-
 def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
     out = {
         "route": report.route,
@@ -275,11 +297,15 @@ def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
         out["dixmier_final_positive"] = spectral.DixmierEstimate.from_values(
             report.positive
         ).final
+    if len(report.positive) or len(report.negative):
         out["dixmier_final_signed"] = spectral.dixmier_sequence(report).final
     ow = analysis.get("order_window")
     if ow is not None and len(report.positive) >= ow[0]:
         lo, hi = spectral.order_bounds(report, "+", window=tuple(ow))
-        out["order_bounds"] = {**_order_window(report, "+", ow), "inf": lo, "sup": hi}
+        window = list(spectral.resolve_window(len(report.positive), tuple(ow)))
+        out["order_bounds"] = {"window": window, "inf": lo, "sup": hi}
+        if window != list(ow):  # the spectrum is too short for the request
+            out["order_bounds"]["requested"] = list(ow)
     else:
         out["order_bounds"] = None
     return out
@@ -305,7 +331,7 @@ class ExperimentReport:
         # Timings deliberately excluded: summaries are byte-stable per seed.
         return {
             "schema_version": SCHEMA_VERSION,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "measure": self.measure,
             "orlicz": self.orlicz,
             "prediction": self.prediction,
@@ -395,7 +421,109 @@ def _measure_diagnostics(cfg, mu, v) -> dict:
     return out
 
 
-def _steklov_expected_spectrum(op_cfg: dict, mass: float) -> np.ndarray:
+def _prediction(check: dict, report) -> dict:
+    """The calibrated predicted trace, which the check needs."""
+    pred = report.prediction["calibrated"]
+    if not pred.get("available", True):
+        raise ConfigError(
+            f"check {check.get('name', check['kind'])!r} needs the predicted trace, "
+            f"which is unavailable: {pred['reason']}"
+        )
+    return pred
+
+
+def _summary_value(report, key: str, variant: str | None = None):
+    """A number from the spectral summary of the primary spectrum (or of a
+    variant's); SpectralWindowError if the spectrum was too short for it."""
+    spec = report.spectral_summary
+    part = spec["variants"][variant] if variant else spec["primary"]
+    if part.get(key) is None:
+        raise SpectralWindowError(
+            f"no {key}: the spectrum has {part['n_positive']} positive and "
+            f"{part['n_negative']} negative eigenvalues"
+        )
+    return part[key]
+
+
+def _verdict(passed, **fields) -> dict:
+    return {**fields, "pass": bool(passed)}
+
+
+def _graded(observed: float, expected: float, tol: float) -> dict:
+    """Relative error of observed against expected, passing within tol."""
+    rel = abs(observed / expected - 1.0) if expected else math.inf
+    return _verdict(rel <= tol, observed=observed, expected=expected, rel_error=rel, tol=tol)
+
+
+def _plateau(check: dict, report) -> dict:
+    sign = check.get("sign", "+")
+    fit = _summary_value(report, "plateau_plus" if sign == "+" else "plateau_minus")
+    target = check["target"]
+    if target == "predicted":
+        pred = _prediction(check, report)
+        target = pred["a_plus"] if sign == "+" else pred["a_minus"]
+    graded = _graded(fit["plateau"], target, check["tol"])
+    return {**graded, "window": fit["window"], "dispersion": fit["dispersion"]}
+
+
+def _plateau_ratio_mass(check: dict, report) -> dict:
+    _prediction(check, report)
+    ratio = _summary_value(report, "plateau_plus")["plateau"] / report.measure["total_mass"]
+    d = int(round(report.measure["components"][0]["nominal_dim"]))
+    codim = report.measure["ambient_dim"] - d
+    z_cal = coeffs.weyl_surface_coefficient(d, codim, "calibrated").value
+    z_printed = coeffs.weyl_surface_coefficient(d, codim, "printed").value
+    graded = _graded(ratio, z_cal, check["tol"])
+    rel_printed = abs(ratio / z_printed - 1.0)
+    passed = graded.pop("pass") and rel_printed > check["tol"]
+    return _verdict(passed, **graded, rejected=z_printed, rel_error_printed=rel_printed)
+
+
+def _variant_plateau(check: dict, report) -> dict:
+    expected = _summary_value(report, "plateau_plus")["plateau"]
+    observed = _summary_value(report, "plateau_plus", check["variant"])["plateau"]
+    return _graded(observed, expected, check["tol"])
+
+
+def _dixmier_plateau(check: dict, report) -> dict:
+    expected = _summary_value(report, "plateau_plus")["plateau"]
+    return _graded(_summary_value(report, "dixmier_final_positive"), expected, check["tol"])
+
+
+def _dixmier_signed(check: dict, report) -> dict:
+    dix, target = _summary_value(report, "dixmier_final_signed"), check.get("target", 0.0)
+    err, tol = abs(dix - target), check["tol"]
+    return _verdict(err <= tol, observed=dix, expected=target, abs_error=err, tol=tol)
+
+
+def _order_ratio(check: dict, report) -> dict:
+    bounds = _summary_value(report, "order_bounds")
+    ratio = bounds["sup"] / bounds["inf"] if bounds["inf"] > 0 else math.inf
+    return _verdict(ratio <= check["tol"], observed=ratio, tol=check["tol"], **bounds)
+
+
+def _order_norm_constant(check: dict, report) -> dict:
+    bounds = _summary_value(report, "order_bounds")
+    hi, av, factor = bounds["sup"], report.orlicz["averaged"], check.get("factor", 5.0)
+    fitted = hi / av if av > 0 else math.inf
+    # unclipped runs keep their summary bytes
+    clipped = {k: bounds[k] for k in ("window", "requested")} if "requested" in bounds else {}
+    bound = factor * fitted * av
+    fields = dict(sup=hi, averaged_norm=av, fitted_constant=fitted, bound=bound, factor=factor)
+    return _verdict(hi <= bound, **fields, **clipped)
+
+
+def _route_match(check: dict, report) -> dict:
+    top, tol = check["top"], check["tol"]
+    match = spectral.spectra_match(report.eigen_primary, report.eigen_compare, top=top, rel_tol=tol)
+    deviations = [float(x) for x in match.deviations_positive]
+    return _verdict(match.matched, observed=match.worst, top=top, tol=tol, deviations=deviations)
+
+
+def _steklov_diagonal(check: dict, report) -> dict:
+    """The Steklov form of the Lebesgue angle measure is diagonal, with
+    eigenvalues b(k)^2 mass / (2 pi) over the kept modes k."""
+    op_cfg = report.config.operator
     K = int(op_cfg["K"])
     if op_cfg.get("zero_mode", "drop") == "drop":
         ks = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
@@ -403,141 +531,43 @@ def _steklov_expected_spectrum(op_cfg: dict, mass: float) -> np.ndarray:
     else:
         ks = np.arange(-K, K + 1)
         b2 = 1.0 / (np.abs(ks) + 1.0)
-    return np.sort(b2 * mass / (2 * math.pi))[::-1]
+    expected = np.sort(b2 * report.measure["total_mass"] / (2 * math.pi))[::-1]
+    got = report.eigen_primary.positive
+    m = min(len(expected), len(got))
+    dev = float(np.abs(expected[:m] - got[:m]).max()) if m else math.inf
+    passed = m == len(expected) and dev <= check["tol"]
+    return _verdict(passed, observed=dev, compared=m, tol=check["tol"])
 
 
-def _require_prediction(check_name: str, prediction: dict) -> None:
-    if not prediction.get("available", True):
-        raise ConfigError(
-            f"check {check_name!r} needs the predicted trace, which is unavailable: "
-            f"{prediction['reason']}"
-        )
+class _CheckKind(NamedTuple):
+    """A check kind: the function grading a report, the keys a check must
+    carry, the config part it reads, and the signs it accepts."""
+
+    grade: Callable[[dict, "ExperimentReport"], dict]
+    fields: tuple[str, ...] = ("tol",)
+    needs: str | None = None
+    signs: tuple[str, ...] = ("+",)
 
 
-def _evaluate_checks(cfg, report_bits) -> list:
-    mu = report_bits["mu"]
-    primary = report_bits["primary"]
-    analysis = cfg.analysis
-    window = analysis.get("window")
-    fractions = tuple(analysis.get("window_fractions", spectral.DEFAULT_WINDOW_FRACTIONS))
-    pred_cal = report_bits["prediction"]["calibrated"]
-    verdicts = []
+_CHECKS = {
+    "plateau": _CheckKind(_plateau, ("target", "tol"), signs=("+", "-")),
+    "plateau_ratio_mass": _CheckKind(_plateau_ratio_mass),
+    "variant_plateau": _CheckKind(_variant_plateau, ("variant", "tol")),
+    "dixmier_plateau": _CheckKind(_dixmier_plateau),
+    "dixmier_signed": _CheckKind(_dixmier_signed),
+    "order_ratio": _CheckKind(_order_ratio, needs="analysis.order_window"),
+    "order_norm_constant": _CheckKind(_order_norm_constant, (), "analysis.order_window"),
+    "route_match": _CheckKind(_route_match, ("top", "tol"), "compare"),
+    "steklov_diagonal": _CheckKind(_steklov_diagonal, needs="a steklov operator"),
+}
 
-    def plateau_of(rep, sign="+"):
-        return spectral.weyl_plateau(
-            rep, sign=sign, window=window, window_fractions=fractions
-        )
 
-    for check in cfg.checks:
-        kind = check["kind"]
-        name = check.get("name", kind)
-        entry = {"name": name, "kind": kind}
-        if kind == "plateau":
-            sign = check.get("sign", "+")
-            fit = plateau_of(primary, sign)
-            target = check["target"]
-            if target == "predicted":
-                _require_prediction(name, pred_cal)
-                target = pred_cal["a_plus"] if sign == "+" else pred_cal["a_minus"]
-            rel = abs(fit.plateau / target - 1.0) if target else math.inf
-            entry.update(
-                observed=fit.plateau,
-                expected=target,
-                rel_error=rel,
-                window=list(fit.window),
-                dispersion=fit.dispersion,
-                tol=check["tol"],
-            )
-            entry["pass"] = bool(rel <= check["tol"])
-        elif kind == "plateau_ratio_mass":
-            _require_prediction(name, pred_cal)
-            fit = plateau_of(primary)
-            comp = mu.components[0]
-            d = int(round(comp.nominal_dim))
-            codim = mu.ambient_dim - d
-            z_cal = coeffs.weyl_surface_coefficient(d, codim, "calibrated").value
-            z_printed = coeffs.weyl_surface_coefficient(d, codim, "printed").value
-            ratio = fit.plateau / mu.total_mass
-            rel_cal = abs(ratio / z_cal - 1.0)
-            rel_printed = abs(ratio / z_printed - 1.0)
-            entry.update(
-                observed=ratio,
-                expected=z_cal,
-                rejected=z_printed,
-                rel_error=rel_cal,
-                rel_error_printed=rel_printed,
-                tol=check["tol"],
-            )
-            entry["pass"] = bool(rel_cal <= check["tol"] and rel_printed > check["tol"])
-        elif kind == "variant_plateau":
-            fit = plateau_of(primary)
-            var = report_bits["variants"][check["variant"]]
-            vfit = plateau_of(var)
-            rel = abs(vfit.plateau / fit.plateau - 1.0)
-            entry.update(
-                observed=vfit.plateau,
-                expected=fit.plateau,
-                rel_error=rel,
-                tol=check["tol"],
-            )
-            entry["pass"] = bool(rel <= check["tol"])
-        elif kind == "dixmier_plateau":
-            fit = plateau_of(primary)
-            dix = spectral.DixmierEstimate.from_values(primary.positive).final
-            rel = abs(dix / fit.plateau - 1.0)
-            entry.update(observed=dix, expected=fit.plateau, rel_error=rel, tol=check["tol"])
-            entry["pass"] = bool(rel <= check["tol"])
-        elif kind == "dixmier_signed":
-            dix = spectral.dixmier_sequence(primary).final
-            err = abs(dix - check.get("target", 0.0))
-            entry.update(observed=dix, expected=check.get("target", 0.0), abs_error=err, tol=check["tol"])
-            entry["pass"] = bool(err <= check["tol"])
-        elif kind == "order_ratio":
-            ow, sign = tuple(analysis["order_window"]), check.get("sign", "+")
-            lo, hi = spectral.order_bounds(primary, sign, window=ow)
-            ratio = hi / lo if lo > 0 else math.inf
-            entry.update(observed=ratio, inf=lo, sup=hi, tol=check["tol"])
-            entry.update(_order_window(primary, sign, ow))
-            entry["pass"] = bool(ratio <= check["tol"])
-        elif kind == "order_norm_constant":
-            ow = tuple(analysis["order_window"])
-            _, hi = spectral.order_bounds(primary, "+", window=ow)
-            window = _order_window(primary, "+", ow)
-            if "requested" in window:  # unclipped runs keep their summary bytes
-                entry.update(window)
-            av = report_bits["orlicz"]["averaged"]
-            fitted = hi / av if av > 0 else math.inf
-            factor = check.get("factor", 5.0)
-            entry.update(
-                sup=hi,
-                averaged_norm=av,
-                fitted_constant=fitted,
-                bound=factor * fitted * av,
-                factor=factor,
-            )
-            entry["pass"] = bool(hi <= factor * fitted * av)
-        elif kind == "route_match":
-            match = spectral.spectra_match(
-                primary, report_bits["compare"], top=check["top"], rel_tol=check["tol"]
-            )
-            entry.update(
-                observed=match.worst,
-                top=check["top"],
-                tol=check["tol"],
-                deviations=[float(x) for x in match.deviations_positive],
-            )
-            entry["pass"] = bool(match.matched)
-        elif kind == "steklov_diagonal":
-            expected = _steklov_expected_spectrum(cfg.operator, mu.total_mass)
-            got = primary.positive
-            m = min(len(expected), len(got))
-            dev = float(np.abs(expected[:m] - got[:m]).max()) if m else math.inf
-            entry.update(observed=dev, compared=m, tol=check["tol"])
-            entry["pass"] = bool(m == len(expected) and dev <= check["tol"])
-        else:
-            raise ConfigError(f"unknown check kind {kind!r}")
-        verdicts.append(entry)
-    return verdicts
+def _evaluate_checks(report: ExperimentReport) -> list:
+    """Verdicts of the config's checks, read off the run's spectral summary."""
+    return [
+        {"name": c.get("name", c["kind"]), "kind": c["kind"], **_CHECKS[c["kind"]].grade(c, report)}
+        for c in report.config.checks
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
@@ -598,28 +628,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
         for label, rep in variants.items():
             summary.setdefault("variants", {})[label] = _spectral_summary(rep, cfg.analysis)
 
-        stage = "verdicts"
-        bits = {
-            "mu": mu,
-            "primary": primary,
-            "compare": compare,
-            "variants": variants,
-            "prediction": prediction,
-            "orlicz": orlicz_diag,
-        }
-        verdicts = _evaluate_checks(cfg, bits)
-
         report = ExperimentReport(
             config=cfg,
             measure=measure_diag,
             orlicz=orlicz_diag,
             prediction=prediction,
             spectral_summary=summary,
-            verdicts=verdicts,
+            verdicts=[],
             timings=timings,
             eigen_primary=primary,
             eigen_compare=compare,
         )
+        stage = "verdicts"
+        report.verdicts = _evaluate_checks(report)
         stage = "emit"
         emit_report(report, out)
         return report
@@ -673,34 +694,26 @@ def write_svg_line(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
         )
 
 
-def emit_report(report: ExperimentReport, out_dir, formats=("json", "plotdata")) -> list:
+def emit_report(report: ExperimentReport, out_dir) -> None:
     """Write the summary JSON and plain plot-data files (spectrum CSVs are
     written by the pipeline as soon as spectra exist)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out / "summary.json"
-        with open(path, "w") as f:
-            json.dump(_jsonable(report.summary_dict()), f, indent=2, sort_keys=True)
-            f.write("\n")
-        written.append(path)
-    if "plotdata" in formats and report.eigen_primary is not None:
+    with open(out / "summary.json", "w") as f:
+        json.dump(_jsonable(report.summary_dict()), f, indent=2, sort_keys=True)
+        f.write("\n")
+    if report.eigen_primary is not None:
         pos = report.eigen_primary.positive
         k = np.arange(1, len(pos) + 1)
-        path = out / "weyl.dat"
-        with open(path, "w") as f:
+        with open(out / "weyl.dat", "w") as f:
             f.write("# k  k*lambda_k\n")
             for kk, lam in zip(k, pos):
                 f.write(f"{kk} {float(kk * lam)!r}\n")
-        written.append(path)
         est = spectral.dixmier_sequence(report.eigen_primary)
-        path = out / "dixmier.dat"
-        with open(path, "w") as f:
+        with open(out / "dixmier.dat", "w") as f:
             f.write("# n  dixmier_n\n")
             for n, val in enumerate(est.sequence, start=1):
                 f.write(f"{n} {float(val)!r}\n")
-        written.append(path)
         if report.config.output.get("svg"):
             write_svg_line(
                 out / "weyl.svg", k, k * pos, "Weyl plateau", "k", "k * lambda_k"
@@ -713,9 +726,7 @@ def emit_report(report: ExperimentReport, out_dir, formats=("json", "plotdata"))
                 "n",
                 "partial sum / log(n+2)",
             )
-            written += [out / "weyl.svg", out / "dixmier.svg"]
     # Timings go to a sidecar so summary.json stays deterministic.
     with open(out / "timings.txt", "w") as f:
         for name, dt in report.timings.items():
             f.write(f"{name} {dt:.3f}\n")
-    return written

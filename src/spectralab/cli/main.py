@@ -8,6 +8,7 @@ error, 3 numerical failure.  Heavy imports happen after thread-count setup so
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -107,9 +108,7 @@ def main(argv=None) -> int:
 
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
-            raw = cfg.to_dict()
-            raw["seed"] = args.seed
-            cfg = ExperimentConfig.from_dict(raw)
+            cfg = dataclasses.replace(cfg, seed=args.seed)
 
         if args.command == "validate":
             print(f"config ok: scenario {cfg.scenario!r}")
@@ -117,9 +116,7 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             if args.svg:
-                raw = cfg.to_dict()
-                raw.setdefault("output", {})["svg"] = True
-                cfg = ExperimentConfig.from_dict(raw)
+                cfg = dataclasses.replace(cfg, output={**cfg.output, "svg": True})
             report = run_experiment(cfg, args.out)
             for v in report.verdicts:
                 status = "PASS" if v["pass"] else "FAIL"

@@ -118,10 +118,6 @@ class PointCloudMeasure:
             return math.inf
         return float(np.median(self._nn_distances))
 
-    def component_slice(self, i: int) -> slice:
-        c = self.components[i]
-        return slice(c.start, c.stop)
-
     @staticmethod
     def from_atoms(
         positions: np.ndarray, weights: np.ndarray, nominal_dim: float
@@ -154,10 +150,6 @@ class SignedDensity:
     @property
     def positive_part(self) -> np.ndarray:
         return np.maximum(self.values, 0.0)
-
-    @property
-    def negative_part(self) -> np.ndarray:
-        return np.maximum(-self.values, 0.0)
 
     @staticmethod
     def ones(n: int) -> "SignedDensity":
@@ -648,18 +640,19 @@ def _require(params: dict, name: str, scenario: str) -> float:
     return params[name]
 
 
-BUILTIN_MEASURES = (
-    "circle",
-    "segment",
-    "two_circles",
-    "sphere",
-    "cantor_line",
-    "cantor_circle",
-    "sierpinski",
-    "half_signed_circle",
-    "circle_plus_square",
-    "steklov_cantor",
-)
+# Catalog measure names and the dimension of the space each one lives in.
+BUILTIN_MEASURES = {
+    "circle": 2,
+    "segment": 2,
+    "two_circles": 2,
+    "sphere": 3,
+    "cantor_line": 2,
+    "cantor_circle": 2,
+    "sierpinski": 2,
+    "half_signed_circle": 2,
+    "circle_plus_square": 2,
+    "steklov_cantor": 2,
+}
 
 
 def builtin_measure(

@@ -284,13 +284,12 @@ def _symmetrize(m: np.ndarray) -> None:
 
 
 def _log_kernel_matrix(
-    measure: PointCloudMeasure, spec: LogKernelSpec
-) -> tuple[np.ndarray, float]:
+    measure: PointCloudMeasure, spec: LogKernelSpec, c_log: float
+) -> np.ndarray:
     """The kernel k on the atoms, exactly symmetric: evaluated on the condensed
-    upper triangle of the distances and mirrored, with the diagonal rule."""
-    n_dim = measure.ambient_dim
-    c_log = spec.log_coefficient or log_kernel_coefficient(n_dim)
-    if spec.kernel_choice == "bessel_exact_N2" and n_dim != 2:
+    upper triangle of the distances and mirrored, with the diagonal rule.
+    The log kernel is -c_log log r; c_log = -1 gives +log r."""
+    if spec.kernel_choice == "bessel_exact_N2" and measure.ambient_dim != 2:
         raise ValueError("bessel_exact_N2 requires ambient dimension 2")
     nn = _nn_distances(measure)
     dist = pdist(measure.positions)
@@ -311,7 +310,18 @@ def _log_kernel_matrix(
     else:
         diag = np.zeros(len(nn))
     np.fill_diagonal(kern, diag)
-    return kern, c_log
+    return kern
+
+
+def _unsigned_frame(
+    kern: np.ndarray, measure: PointCloudMeasure, density: SignedDensity
+) -> np.ndarray:
+    """sqrt(D) k sqrt(D) with D_i = w_i |V_i|, in place and exactly symmetric."""
+    root = np.sqrt(measure.weights * np.abs(density.values))
+    kern *= root[:, None]
+    kern *= root[None, :]
+    _symmetrize(kern)
+    return kern
 
 
 def assemble_log_kernel(
@@ -330,14 +340,15 @@ def assemble_log_kernel(
     """
     check_pairing(measure, density)
     spec = spec or LogKernelSpec()
-    kern, c_log = _log_kernel_matrix(measure, spec)
+    c_log = spec.log_coefficient or log_kernel_coefficient(measure.ambient_dim)
+    kern = _log_kernel_matrix(measure, spec, c_log)
     sign_framed = bool(np.any(density.values < 0))
     if sign_framed:
         # kern is exactly symmetric, so kern.T is k in Fortran order: factor
         # it in place, then form C^T diag(w V) C with one in-place dtrmm
         factor, info = dpotrf(kern.T, lower=1, overwrite_a=1)
         if info:
-            kern, _ = _log_kernel_matrix(measure, spec)
+            kern = _log_kernel_matrix(measure, spec, c_log)
             lam = float(eigh(kern, eigvals_only=True, subset_by_index=[0, 0])[0])
             raise DegenerateKernelError(
                 f"kernel matrix is not positive definite (smallest eigenvalue "
@@ -346,12 +357,9 @@ def assemble_log_kernel(
         wv = measure.weights * density.values
         scaled = np.multiply(factor, wv[:, None], order="F")
         matrix = dtrmm(1.0, factor, scaled, lower=1, trans_a=1, overwrite_b=1).T
+        _symmetrize(matrix)
     else:
-        root = np.sqrt(measure.weights * np.abs(density.values))
-        kern *= root[:, None]
-        kern *= root[None, :]
-        matrix = kern
-    _symmetrize(matrix)
+        matrix = _unsigned_frame(kern, measure, density)
     return AssembledOperator(
         matrix=matrix,
         route="logkernel",
@@ -374,30 +382,18 @@ def assemble_log_potential(
     """Logarithmic potential f -> int log|X-Y| f(Y) P(dY) realized in L_{2,P}.
 
     Requires V >= 0 (for mixed signs use the sign-framed log-kernel route).
-    The matrix is sqrt(w_i V_i) log|X_i - X_j| sqrt(w_j V_j); its singular
-    values are read off by the spectral module.
+    The matrix is sqrt(w_i V_i) log|X_i - X_j| sqrt(w_j V_j), the pure log
+    kernel with coefficient -1; its singular values are read off by the
+    spectral module.
     """
     check_pairing(measure, density)
     if np.any(density.values < 0):
         raise NegativeDensityError(
             "log potential needs V >= 0; use assemble_log_kernel for signed densities"
         )
-    nn = _nn_distances(measure)
-    if diagonal_rule == "cell_average":
-        diag = np.log(nn / 2.0) - 1.0  # cell mean of +log
-    elif diagonal_rule == "zero":
-        diag = np.zeros(len(nn))
-    else:
-        raise ValueError(f"unknown diagonal rule {diagonal_rule!r}")
-    dist = pdist(measure.positions)
-    kern = squareform(np.log(dist, out=dist))
-    np.fill_diagonal(kern, diag)
-    root = np.sqrt(measure.weights * density.values)
-    kern *= root[:, None]
-    kern *= root[None, :]
-    _symmetrize(kern)
+    kern = _log_kernel_matrix(measure, LogKernelSpec(diagonal_rule=diagonal_rule), -1.0)
     return AssembledOperator(
-        matrix=kern,
+        matrix=_unsigned_frame(kern, measure, density),
         route="logpotential",
         metadata={
             "diagonal_rule": diagonal_rule,

@@ -286,3 +286,58 @@ def test_density_expression_outside_whitelist_is_config_error(tmp_path, expr):
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
     assert "density expression may not contain" in (out / "FAILED").read_text()
+
+
+def _check_config(scenario, check):
+    return {"scenario": scenario, "checks": [check]}
+
+
+MALFORMED = {
+    "unknown_kind": _check_config("circle", {"kind": "nope", "tol": 0.1}),
+    "missing_tol": _check_config("circle", {"kind": "plateau", "target": 1.0}),
+    "missing_target": _check_config("circle", {"kind": "plateau", "tol": 0.1}),
+    "missing_variant": _check_config("circle", {"kind": "variant_plateau", "tol": 0.02}),
+    "unknown_variant": _check_config("circle", {"kind": "variant_plateau", "variant": "nope", "tol": 0.02}),
+    "missing_top": _check_config("circle_fourier", {"kind": "route_match", "tol": 0.1}),
+    "route_match_without_compare": _check_config("circle", {"kind": "route_match", "top": 30, "tol": 0.1}),
+    "order_ratio_without_order_window": _check_config("circle", {"kind": "order_ratio", "tol": 10.0}),
+    "order_norm_constant_without_order_window": _check_config("circle", {"kind": "order_norm_constant"}),
+    "order_ratio_minus_sign": _check_config("cantor_line", {"kind": "order_ratio", "sign": "-", "tol": 10.0}),
+    "plateau_unknown_sign": _check_config("circle", {"kind": "plateau", "sign": "x", "target": 1.0, "tol": 0.1}),
+    "steklov_diagonal_off_steklov": _check_config("circle", {"kind": "steklov_diagonal", "tol": 1e-12}),
+    # (2 * 11 + 1)^3 = 12167 modes in R^3 exceed the default budget of 12000
+    "fourier_budget_in_3d": {"scenario": "sphere", "operator": {"route": "fourier", "L": 8.0, "K": 11}},
+    "bessel_kernel_in_3d": {"scenario": "sphere", "operator": {"kernel": "bessel_exact_N2"}},
+    "bessel_variant_in_3d": {
+        "scenario": "sphere",
+        "variants": [{"label": "bessel", "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"}}],
+    },
+}
+
+
+@pytest.mark.parametrize("raw", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_rejected_before_any_output(tmp_path, raw, capsys):
+    path = _write_config(tmp_path, raw)
+    assert main(["validate", str(path)]) == 2
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(path)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+def test_every_scenario_and_config_validates():
+    from spectralab.cli.scenarios import SCENARIOS
+
+    for name in SCENARIOS:
+        ExperimentConfig.from_dict({"scenario": name})
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert main(["validate", str(path)]) == 0, path
+
+
+def test_density_file_of_wrong_length_is_config_error(tmp_path):
+    values = tmp_path / "v.txt"
+    values.write_text("1.0\n2.0\n3.0\n")
+    raw = {**SMALL_CIRCLE, "density": {"kind": "file", "path": str(values)}}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    assert "3 values for 400 atoms" in (out / "FAILED").read_text()

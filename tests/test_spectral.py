@@ -369,7 +369,7 @@ def test_plotdata_constant_for_exact_law(tmp_path):
         timings={},
         eigen_primary=rep,
     )
-    emit_report(dummy, tmp_path, formats=("plotdata",))
+    emit_report(dummy, tmp_path)
     rows = [
         line.split() for line in (tmp_path / "weyl.dat").read_text().splitlines()[1:]
     ]
