@@ -20,9 +20,9 @@ import numpy as np
 
 from .. import coeffs, measures, operators, orlicz, spectral
 from ..errors import (
+    BudgetError,
     ConfigError,
     PredictionUnavailableError,
-    ScenarioError,
     SpectralWindowError,
 )
 from .scenarios import scenario_defaults
@@ -85,12 +85,14 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def validate(self) -> None:
-        ambient_dim = measures.BUILTIN_MEASURES.get(self.measure.get("name"))
-        if ambient_dim is None:
-            raise ScenarioError(f"unknown measure {self.measure.get('name')!r}")
+        ambient_dim, _ = measures.catalog_entry(self.measure.get("name"), self.measure.get("params"))
+        for var in self.variants:
+            missing = [key for key in ("label", "operator") if key not in var]
+            if missing:
+                raise ConfigError(f"variant {var!r} needs {', '.join(missing)}")
         for op_cfg in (self.operator, self.compare, *(v["operator"] for v in self.variants)):
             if op_cfg is not None:
-                _validate_operator(op_cfg, ambient_dim)
+                _assembly(op_cfg, ambient_dim)
         for key in ("window", "order_window"):
             win = self.analysis.get(key)
             if win is not None and (len(win) != 2 or win[0] < 1 or win[1] < win[0]):
@@ -104,27 +106,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """The config as plain data (perfbench records it with each case)."""
         return asdict(self)
-
-
-def _validate_operator(op_cfg: dict, ambient_dim: int) -> None:
-    route = op_cfg.get("route")
-    if route not in ("fourier", "logkernel", "logpotential", "steklov"):
-        raise ConfigError(f"unknown operator route {route!r}")
-    budget = int(op_cfg.get("budget", operators.DEFAULT_MATRIX_BUDGET))
-    if route == "fourier":
-        if "L" not in op_cfg or "K" not in op_cfg:
-            raise ConfigError("fourier route needs torus period L and cutoff K")
-        modes = (2 * int(op_cfg["K"]) + 1) ** ambient_dim
-        if modes > budget:
-            raise ConfigError(f"{modes} Fourier modes exceed the budget {budget}")
-    if route == "steklov":
-        if "K" not in op_cfg:
-            raise ConfigError("steklov route needs a Fourier cutoff K")
-        if 2 * int(op_cfg["K"]) + 1 > budget:
-            raise ConfigError("Steklov cutoff exceeds the matrix budget")
-    bessel = route == "logkernel" and op_cfg.get("kernel") == "bessel_exact_N2"
-    if (route == "steklov" or bessel) and ambient_dim != 2:
-        raise ConfigError(f"operator {op_cfg} needs a measure in the plane, not in R^{ambient_dim}")
 
 
 def _validate_check(check: dict, cfg: ExperimentConfig) -> None:
@@ -231,41 +212,58 @@ def _resolve_density(
         vals = _eval_density(_parse_density(cfg.density["expr"]), env)
         return measures.SignedDensity(np.broadcast_to(vals, (mu.atom_count,)).astype(float))
     if kind == "file":
-        vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
+        try:
+            vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"density file not found: {cfg.density['path']}") from exc
         if len(vals) != mu.atom_count:
             raise ConfigError(f"density file holds {len(vals)} values for {mu.atom_count} atoms")
         return measures.SignedDensity(vals)
     raise ConfigError(f"unknown density kind {kind!r}")
 
 
-def _assemble(op_cfg: dict, mu, v) -> operators.AssembledOperator:
-    route = op_cfg["route"]
-    budget = int(op_cfg.get("budget", operators.DEFAULT_MATRIX_BUDGET))
-    if route == "fourier":
-        return operators.assemble_fourier_bs(
-            mu, v, L=float(op_cfg["L"]), K=int(op_cfg["K"]), matrix_budget=budget
-        )
-    if route == "logkernel":
+def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
+    """The assembly call of an operator config, as a function of (mu, v).
+    Every parameter is checked now, before any measure exists, by the
+    library's own checks; a failure is a ConfigError.  The call looks up
+    operators.assemble_* when it runs, so that wrappers of them see it."""
+    route = op_cfg.get("route")
+    planar = route == "steklov" or (route == "logkernel" and op_cfg.get("kernel") == "bessel_exact_N2")
+    if planar and ambient_dim != 2:
+        raise ConfigError(f"operator {op_cfg} needs a measure in the plane, not in R^{ambient_dim}")
+    try:
+        budget = int(op_cfg.get("budget", operators.DEFAULT_MATRIX_BUDGET))
+        if route == "fourier":
+            L, K = float(op_cfg["L"]), op_cfg["K"]
+            operators.fourier_mode_count(K, ambient_dim, budget)
+            return lambda mu, v: operators.assemble_fourier_bs(mu, v, L=L, K=K, matrix_budget=budget)
+        if route == "steklov":
+            K, zero_mode = op_cfg["K"], op_cfg.get("zero_mode", "drop")
+            operators.steklov_modes(K, zero_mode, budget)
+            center = tuple(op_cfg.get("center", (0.0, 0.0)))
+            return lambda mu, v: operators.assemble_steklov_circle(
+                mu, v, K=K, zero_mode=zero_mode, center=center, matrix_budget=budget
+            )
         spec = operators.LogKernelSpec(
             kernel_choice=op_cfg.get("kernel", "pure_log"),
             log_coefficient=op_cfg.get("log_coefficient"),
             diagonal_rule=op_cfg.get("diagonal_rule", "cell_average"),
         )
-        return operators.assemble_log_kernel(mu, v, spec)
-    if route == "logpotential":
-        return operators.assemble_log_potential(
-            mu, v, diagonal_rule=op_cfg.get("diagonal_rule", "cell_average")
-        )
-    if route == "steklov":
-        return operators.assemble_steklov_circle(
-            mu,
-            v,
-            K=int(op_cfg["K"]),
-            zero_mode=op_cfg.get("zero_mode", "drop"),
-            center=tuple(op_cfg.get("center", (0.0, 0.0))),
-            matrix_budget=budget,
-        )
+        if route == "logkernel":
+            return lambda mu, v: operators.assemble_log_kernel(mu, v, spec)
+        if route == "logpotential":
+            return lambda mu, v: operators.assemble_log_potential(mu, v, diagonal_rule=spec.diagonal_rule)
+    except KeyError as exc:
+        raise ConfigError(f"{route} operator needs {exc}") from exc
+    except (ValueError, TypeError, BudgetError) as exc:
+        raise ConfigError(f"{route} operator {op_cfg}: {exc}") from exc
     raise ConfigError(f"unknown operator route {route!r}")
+
+
+def _clip(window, requested) -> dict:
+    """The requested window, if it was clipped to a spectrum too short for it."""
+    clipped = requested is not None and list(window) != list(requested)
+    return {"requested": list(requested)} if clipped else {}
 
 
 def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
@@ -290,6 +288,7 @@ def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
                 "window": list(fit.window),
                 "plateau": fit.plateau,
                 "dispersion": fit.dispersion,
+                **_clip(fit.window, window),
             }
         else:
             out[key] = None
@@ -303,9 +302,7 @@ def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
     if ow is not None and len(report.positive) >= ow[0]:
         lo, hi = spectral.order_bounds(report, "+", window=tuple(ow))
         window = list(spectral.resolve_window(len(report.positive), tuple(ow)))
-        out["order_bounds"] = {"window": window, "inf": lo, "sup": hi}
-        if window != list(ow):  # the spectrum is too short for the request
-            out["order_bounds"]["requested"] = list(ow)
+        out["order_bounds"] = {"window": window, "inf": lo, "sup": hi, **_clip(window, ow)}
     else:
         out["order_bounds"] = None
     return out
@@ -463,7 +460,7 @@ def _plateau(check: dict, report) -> dict:
         pred = _prediction(check, report)
         target = pred["a_plus"] if sign == "+" else pred["a_minus"]
     graded = _graded(fit["plateau"], target, check["tol"])
-    return {**graded, "window": fit["window"], "dispersion": fit["dispersion"]}
+    return {**graded, **{k: fit[k] for k in ("window", "dispersion", "requested") if k in fit}}
 
 
 def _plateau_ratio_mass(check: dict, report) -> dict:
@@ -503,12 +500,14 @@ def _order_ratio(check: dict, report) -> dict:
 
 
 def _order_norm_constant(check: dict, report) -> dict:
+    """sup k lambda_k <= factor * averaged Orlicz norm of V; the fitted
+    constant sup / norm is recorded."""
     bounds = _summary_value(report, "order_bounds")
     hi, av, factor = bounds["sup"], report.orlicz["averaged"], check.get("factor", 5.0)
     fitted = hi / av if av > 0 else math.inf
     # unclipped runs keep their summary bytes
     clipped = {k: bounds[k] for k in ("window", "requested")} if "requested" in bounds else {}
-    bound = factor * fitted * av
+    bound = factor * av
     fields = dict(sup=hi, averaged_norm=av, fitted_constant=fitted, bound=bound, factor=factor)
     return _verdict(hi <= bound, **fields, **clipped)
 
@@ -606,19 +605,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 "printed": _prediction_summary(mu, v, "printed"),
             },
         )
-        op = tick("assemble", _assemble, cfg.operator, mu, v)
+        op = tick("assemble", _assembly(cfg.operator, mu.ambient_dim), mu, v)
         primary = tick("eigensolve", spectral.eigen_spectrum, op)
         tick("spectrum_io", spectral.write_spectrum_csv, primary, out / "spectrum.csv")
 
         compare = None
         if cfg.compare is not None:
-            op2 = tick("assemble_compare", _assemble, cfg.compare, mu, v)
+            op2 = tick("assemble_compare", _assembly(cfg.compare, mu.ambient_dim), mu, v)
             compare = tick("eigensolve_compare", spectral.eigen_spectrum, op2)
             spectral.write_spectrum_csv(compare, out / "spectrum_compare.csv")
         variants = {}
         for var in cfg.variants:
             label = var["label"]
-            vop = tick(f"assemble_{label}", _assemble, var["operator"], mu, v)
+            vop = tick(f"assemble_{label}", _assembly(var["operator"], mu.ambient_dim), mu, v)
             variants[label] = tick(f"eigensolve_{label}", spectral.eigen_spectrum, vop)
 
         stage = "analysis"

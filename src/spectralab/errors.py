@@ -74,4 +74,4 @@ class ConfigError(SpectraLabError):
 
 
 class ScenarioError(ConfigError):
-    """Unknown scenario name or missing scenario parameter."""
+    """Unknown scenario or measure name, or a parameter the measure does not take."""

@@ -9,9 +9,10 @@ limit, only its finite-scale proxy.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -634,25 +635,104 @@ def _fibonacci_sphere(n: int, radius: float):
     return pos, w
 
 
-def _require(params: dict, name: str, scenario: str) -> float:
-    if name not in params:
-        raise ScenarioError(f"scenario {scenario!r} is missing parameter {name!r}")
-    return params[name]
+def _circle(atoms=2000, radius=1.0, cx=0.0, cy=0.0):
+    n = int(atoms)
+    _, pos, w = _circle_atoms(n, float(radius), (float(cx), float(cy)))
+    return PointCloudMeasure.from_atoms(pos, w, 1.0), SignedDensity.ones(n)
 
 
-# Catalog measure names and the dimension of the space each one lives in.
+def _segment(atoms=2000, length=1.0):
+    n, length = int(atoms), float(length)
+    x = length * (np.arange(n) + 0.5) / n
+    pos = np.stack([x, np.zeros(n)], axis=1)
+    w = np.full(n, length / n)
+    return PointCloudMeasure.from_atoms(pos, w, 1.0), SignedDensity.ones(n)
+
+
+def _two_circles(atoms=3000, r1=1.0, r2=0.5, gap=1.0):
+    n, r1, r2 = int(atoms), float(r1), float(r2)
+    n1 = int(round(n * r1 / (r1 + r2)))
+    n2 = n - n1
+    _, pos1, w1 = _circle_atoms(n1, r1, (0.0, 0.0))
+    _, pos2, w2 = _circle_atoms(n2, r2, (r1 + float(gap) + r2, 0.0))
+    m1 = PointCloudMeasure.from_atoms(pos1, w1, 1.0)
+    m2 = PointCloudMeasure.from_atoms(pos2, w2, 1.0)
+    return union_measure([(m1, SignedDensity.ones(n1)), (m2, SignedDensity.ones(n2))])
+
+
+def _sphere(atoms=3000, radius=1.0):
+    n = int(atoms)
+    pos, w = _fibonacci_sphere(n, float(radius))
+    return PointCloudMeasure.from_atoms(pos, w, 2.0), SignedDensity.ones(n)
+
+
+def _cantor_line(depth=9):
+    line = ifs_self_similar_measure(cantor_system(), int(depth))
+    pos = np.concatenate([line.positions, np.zeros((line.atom_count, 1))], axis=1)
+    mu = PointCloudMeasure.from_atoms(pos, line.weights, line.components[0].nominal_dim)
+    return mu, SignedDensity.ones(mu.atom_count)
+
+
+def _cantor_circle(depth=10, radius=1.0):
+    r = float(radius)
+    d = math.log(2) / math.log(3)
+    x = _cantor_midpoints(int(depth))
+    theta = 2 * np.pi * x
+    pos = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    w = np.full(len(x), 1.0 / len(x))
+    return PointCloudMeasure.from_atoms(pos, w, d), SignedDensity.ones(len(x))
+
+
+def _sierpinski(depth=7, side=1.0):
+    mu = ifs_self_similar_measure(sierpinski_system(float(side)), int(depth))
+    return mu, SignedDensity.ones(mu.atom_count)
+
+
+def _half_signed_circle(atoms=2000, radius=1.0):
+    theta, pos, w = _circle_atoms(int(atoms), float(radius))
+    v = np.where(theta < np.pi, 1.0, -1.0)
+    return PointCloudMeasure.from_atoms(pos, w, 1.0), SignedDensity(v)
+
+
+def _circle_plus_square(atoms=2000, radius=1.0, cells=45, side=1.0):
+    n, cells, side = int(atoms), int(cells), float(side)
+    _, cpos, cw = _circle_atoms(n, float(radius))
+    g = side * ((np.arange(cells) + 0.5) / cells - 0.5)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    spos = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    sw = np.full(cells * cells, side * side / (cells * cells))
+    mc = PointCloudMeasure.from_atoms(cpos, cw, 1.0)
+    ms = PointCloudMeasure.from_atoms(spos, sw, 2.0)
+    return union_measure([(mc, SignedDensity.ones(n)), (ms, SignedDensity.ones(cells * cells))])
+
+
+# Catalog measure name -> (dimension of the space it lives in, builder).  A
+# builder's keyword parameters and their defaults are the measure's params.
 BUILTIN_MEASURES = {
-    "circle": 2,
-    "segment": 2,
-    "two_circles": 2,
-    "sphere": 3,
-    "cantor_line": 2,
-    "cantor_circle": 2,
-    "sierpinski": 2,
-    "half_signed_circle": 2,
-    "circle_plus_square": 2,
-    "steklov_cantor": 2,
+    "circle": (2, _circle),
+    "segment": (2, _segment),
+    "two_circles": (2, _two_circles),
+    "sphere": (3, _sphere),
+    "cantor_line": (2, _cantor_line),
+    "cantor_circle": (2, _cantor_circle),
+    "sierpinski": (2, _sierpinski),
+    "half_signed_circle": (2, _half_signed_circle),
+    "circle_plus_square": (2, _circle_plus_square),
+    "steklov_cantor": (2, partial(_cantor_circle, depth=12)),
 }
+
+
+def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]:
+    """(ambient dimension, builder) of a catalog measure; ScenarioError if the
+    name is unknown or `params` holds a key the builder does not take."""
+    if name not in BUILTIN_MEASURES:
+        raise ScenarioError(f"unknown measure {name!r}")
+    ambient_dim, build = BUILTIN_MEASURES[name]
+    known = inspect.signature(build).parameters
+    unknown = ", ".join(map(repr, sorted(set(params or {}) - set(known))))
+    if unknown:
+        raise ScenarioError(f"measure {name!r} has no parameter {unknown}; it takes {', '.join(known)}")
+    return ambient_dim, build
 
 
 def builtin_measure(
@@ -663,104 +743,8 @@ def builtin_measure(
     All catalog measures carry V = 1 except `half_signed_circle`, whose
     density is +1 on the upper half-arc and -1 on the lower.
     """
-    p = dict(params or {})
-
-    def get(key, default=None):
-        if default is None:
-            return _require(p, key, name)
-        return p.get(key, default)
-
-    if name == "circle":
-        n = int(get("atoms", 2000))
-        r = float(get("radius", 1.0))
-        cx, cy = float(get("cx", 0.0)), float(get("cy", 0.0))
-        _, pos, w = _circle_atoms(n, r, (cx, cy))
-        return PointCloudMeasure.from_atoms(pos, w, 1.0), SignedDensity.ones(n)
-
-    if name == "segment":
-        n = int(get("atoms", 2000))
-        length = float(get("length", 1.0))
-        x = length * (np.arange(n) + 0.5) / n
-        pos = np.stack([x, np.zeros(n)], axis=1)
-        w = np.full(n, length / n)
-        return PointCloudMeasure.from_atoms(pos, w, 1.0), SignedDensity.ones(n)
-
-    if name == "two_circles":
-        n = int(get("atoms", 3000))
-        r1, r2 = float(get("r1", 1.0)), float(get("r2", 0.5))
-        gap = float(get("gap", 1.0))
-        n1 = int(round(n * r1 / (r1 + r2)))
-        n2 = n - n1
-        _, pos1, w1 = _circle_atoms(n1, r1, (0.0, 0.0))
-        _, pos2, w2 = _circle_atoms(n2, r2, (r1 + gap + r2, 0.0))
-        m1 = PointCloudMeasure.from_atoms(pos1, w1, 1.0)
-        m2 = PointCloudMeasure.from_atoms(pos2, w2, 1.0)
-        return union_measure(
-            [(m1, SignedDensity.ones(n1)), (m2, SignedDensity.ones(n2))]
-        )
-
-    if name == "sphere":
-        n = int(get("atoms", 3000))
-        r = float(get("radius", 1.0))
-        pos, w = _fibonacci_sphere(n, r)
-        return PointCloudMeasure.from_atoms(pos, w, 2.0), SignedDensity.ones(n)
-
-    if name == "cantor_line":
-        depth = int(get("depth", 9))
-        system = cantor_system()
-        line = ifs_self_similar_measure(system, depth)
-        pos = np.concatenate([line.positions, np.zeros((line.atom_count, 1))], axis=1)
-        mu = PointCloudMeasure(
-            positions=pos,
-            weights=line.weights,
-            components=line.components,
-            total_mass=line.total_mass,
-        )
-        return mu, SignedDensity.ones(mu.atom_count)
-
-    if name in ("cantor_circle", "steklov_cantor"):
-        depth = int(get("depth", 10 if name == "cantor_circle" else 12))
-        r = float(get("radius", 1.0))
-        d = math.log(2) / math.log(3)
-        x = _cantor_midpoints(depth)
-        theta = 2 * np.pi * x
-        pos = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        w = np.full(len(x), 1.0 / len(x))
-        return (
-            PointCloudMeasure.from_atoms(pos, w, d),
-            SignedDensity.ones(len(x)),
-        )
-
-    if name == "sierpinski":
-        depth = int(get("depth", 7))
-        system = sierpinski_system(float(get("side", 1.0)))
-        mu = ifs_self_similar_measure(system, depth)
-        return mu, SignedDensity.ones(mu.atom_count)
-
-    if name == "half_signed_circle":
-        n = int(get("atoms", 2000))
-        r = float(get("radius", 1.0))
-        theta, pos, w = _circle_atoms(n, r)
-        v = np.where(theta < np.pi, 1.0, -1.0)
-        return PointCloudMeasure.from_atoms(pos, w, 1.0), SignedDensity(v)
-
-    if name == "circle_plus_square":
-        n = int(get("atoms", 2000))
-        r = float(get("radius", 1.0))
-        cells = int(get("cells", 45))
-        side = float(get("side", 1.0))
-        _, cpos, cw = _circle_atoms(n, r)
-        g = side * ((np.arange(cells) + 0.5) / cells - 0.5)
-        gx, gy = np.meshgrid(g, g, indexing="ij")
-        spos = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        sw = np.full(cells * cells, side * side / (cells * cells))
-        mc = PointCloudMeasure.from_atoms(cpos, cw, 1.0)
-        ms = PointCloudMeasure.from_atoms(spos, sw, 2.0)
-        return union_measure(
-            [(mc, SignedDensity.ones(n)), (ms, SignedDensity.ones(cells * cells))]
-        )
-
-    raise ScenarioError(f"unknown measure scenario {name!r}")
+    _, build = catalog_entry(name, params)
+    return build(**(params or {}))
 
 
 # -- serialization -----------------------------------------------------------

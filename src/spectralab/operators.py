@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,9 +115,13 @@ def _frequency_grid(K: int, n_dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _check_budget(modes: int, budget: int, route: str) -> None:
-    if modes > budget:
-        raise BudgetError(f"{modes} {route} modes exceed the budget {budget}")
+def fourier_mode_count(K: int, n_dim: int, matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> int:
+    """(2K + 1)^N, the order of the Fourier compression at integer cutoff K;
+    BudgetError past the matrix budget."""
+    modes = (2 * operator.index(K) + 1) ** n_dim
+    if modes > matrix_budget:
+        raise BudgetError(f"{modes} Fourier modes exceed the budget {matrix_budget}")
+    return modes
 
 
 def _fourier_coefficients(
@@ -232,8 +237,7 @@ def assemble_fourier_bs(
     """
     check_pairing(measure, density)
     n_dim = measure.ambient_dim
-    n_modes = (2 * K + 1) ** n_dim
-    _check_budget(n_modes, matrix_budget, "Fourier")
+    n_modes = fourier_mode_count(K, n_dim, matrix_budget)
     span = measure.positions.max(axis=0) - measure.positions.min(axis=0)
     if np.any(span > L / 2):
         raise SupportTooLargeError(
@@ -409,6 +413,26 @@ def circle_angles(measure: PointCloudMeasure, center=(0.0, 0.0)) -> np.ndarray:
     return np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * math.pi)
 
 
+def steklov_modes(
+    K: int, zero_mode: str = "drop", matrix_budget: int = DEFAULT_MATRIX_BUDGET
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier modes k kept at integer cutoff K under a zero-mode policy,
+    and the multiplier b(k) at them (see assemble_steklov_circle).
+    ValueError for an unknown policy, BudgetError past the matrix budget."""
+    K = operator.index(K)
+    if zero_mode == "drop":
+        modes = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
+        b = np.abs(modes) ** -0.5
+    elif zero_mode == "shift":
+        modes = np.arange(-K, K + 1)
+        b = (np.abs(modes) + 1.0) ** -0.5
+    else:
+        raise ValueError(f"unknown zero-mode policy {zero_mode!r}")
+    if len(modes) > matrix_budget:
+        raise BudgetError(f"{len(modes)} Steklov modes exceed the budget {matrix_budget}")
+    return modes, b
+
+
 def assemble_steklov_circle(
     measure: PointCloudMeasure,
     density: SignedDensity,
@@ -430,15 +454,7 @@ def assemble_steklov_circle(
     check_pairing(measure, density)
     if measure.ambient_dim != 2:
         raise ValueError("the Steklov circle operator lives in the plane")
-    if zero_mode == "drop":
-        modes = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
-        b = np.abs(modes) ** -0.5
-    elif zero_mode == "shift":
-        modes = np.arange(-K, K + 1)
-        b = (np.abs(modes) + 1.0) ** -0.5
-    else:
-        raise ValueError(f"unknown zero-mode policy {zero_mode!r}")
-    _check_budget(len(modes), matrix_budget, "Steklov")
+    modes, b = steklov_modes(K, zero_mode, matrix_budget)
     theta = circle_angles(measure, center)
     F = _fourier_coefficients(
         theta[:, None], measure.weights * density.values, 2 * math.pi, K

@@ -46,9 +46,9 @@ class EigenReport:
             object.__setattr__(self, name, arr)
 
     def sequence(self, sign: str) -> np.ndarray:
-        if sign in ("+", "plus", "positive"):
+        if sign == "+":
             return self.positive
-        if sign in ("-", "minus", "negative"):
+        if sign == "-":
             return self.negative
         raise ValueError(f"unknown sign {sign!r}")
 
@@ -257,22 +257,19 @@ class DixmierEstimate:
 def dixmier_sequence(arg) -> DixmierEstimate:
     """Dixmier estimator for raw singular values or for a signed report.
 
-    For an EigenReport with both signs present, the estimate is the
-    difference of the positive and negative log-averaged sums (partial sums
-    saturate once a list is exhausted), so the final value approximates the
-    signed trace.
+    For an EigenReport the estimate is the difference of the positive and
+    negative log-averaged sums (partial sums saturate once a list is
+    exhausted, and an empty list sums to zero), so the final value
+    approximates the signed trace.
     """
     if isinstance(arg, EigenReport):
-        if len(arg.negative) == 0:
-            return DixmierEstimate.from_values(arg.positive)
-        if len(arg.positive) == 0:
-            est = DixmierEstimate.from_values(arg.negative)
-            return DixmierEstimate(sequence=-est.sequence, final=-est.final)
         m = max(len(arg.positive), len(arg.negative))
-        cp = np.cumsum(arg.positive)
-        cn = np.cumsum(arg.negative)
-        cp = np.concatenate([cp, np.full(m - len(cp), cp[-1])])
-        cn = np.concatenate([cn, np.full(m - len(cn), cn[-1])])
+        if m == 0:
+            raise ValueError("need at least one eigenvalue")
+        cp, cn = (
+            np.concatenate([c, np.full(m - len(c), c[-1] if len(c) else 0.0)])
+            for c in (np.cumsum(arg.positive), np.cumsum(arg.negative))
+        )
         n = np.arange(1, m + 1, dtype=float)
         seq = (cp - cn) / np.log(n + 2.0)
         return DixmierEstimate(sequence=seq, final=float(seq[-1]))

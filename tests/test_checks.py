@@ -34,6 +34,11 @@ STEKLOV_CANTOR_K300 = {
 REDUCED = {
     "circle": {"scenario": "circle", "measure": {"params": {"atoms": 400}}, "analysis": {"window": [20, 100]}},
     "cantor_line": {"scenario": "cantor_line"},
+    # the norm bound at a tenth of the norm is below sup k lambda_k
+    "cantor_line_tight_factor": {
+        "scenario": "cantor_line",
+        "checks": [{"name": "norm_bound_constant", "kind": "order_norm_constant", "factor": 0.1}],
+    },
     "steklov_cantor": STEKLOV_CANTOR_K300,
     # the spectrum cannot fill [20, 300]: both order checks record the clip
     "steklov_cantor_clipped": {
@@ -138,7 +143,7 @@ def _oracle(check, report) -> dict:
         entry["pass"] = entry["pass"] and rel_printed > tol
     elif kind == "variant_plateau":
         (var,) = [var for var in cfg.variants if var["label"] == check["variant"]]
-        rep = spectral.eigen_spectrum(experiment._assemble(var["operator"], mu, v))
+        rep = spectral.eigen_spectrum(experiment._assembly(var["operator"], mu.ambient_dim)(mu, v))
         entry.update(graded(plateau(rep).plateau, plateau(primary).plateau))
     elif kind == "dixmier_plateau":
         entry.update(graded(spectral.dixmier_sequence(primary.positive).final, plateau(primary).plateau))
@@ -156,7 +161,7 @@ def _oracle(check, report) -> dict:
         _, hi = spectral.order_bounds(primary, "+", window=tuple(ow))
         av = orlicz.averaged_norm(v, mu)
         factor = check.get("factor", 5.0)
-        bound = factor * (hi / av) * av
+        bound = factor * av
         entry.update(sup=hi, averaged_norm=av, fitted_constant=hi / av, bound=bound, factor=factor)
         clip = order_window(ow)
         if "requested" in clip:
@@ -184,6 +189,16 @@ def test_verdicts_match_oracle(runs, name):
     assert [v["kind"] for v in report.verdicts] == [c["kind"] for c in report.config.checks]
     for verdict, check in zip(report.verdicts, report.config.checks):
         assert verdict == _oracle(check, report), check
+
+
+def test_order_norm_constant_can_fail(runs):
+    reports, _ = runs
+    passing = reports["cantor_line"].verdicts[1]
+    (failing,) = reports["cantor_line_tight_factor"].verdicts
+    assert passing["pass"] and passing["bound"] == pytest.approx(5.7310, abs=1e-4)
+    assert not failing["pass"]
+    assert failing["bound"] == pytest.approx(0.1146, abs=1e-4)
+    assert failing["sup"] == pytest.approx(0.3287, abs=1e-4)
 
 
 def test_verdicts_read_the_spectral_summary(runs):

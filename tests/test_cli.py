@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralab import measures
+from spectralab import measures, operators, spectral
 from spectralab.cli.experiment import ExperimentConfig, _resolve_density, run_experiment
 from spectralab.cli.main import main
 from spectralab.errors import ScenarioError
@@ -312,6 +312,17 @@ MALFORMED = {
         "scenario": "sphere",
         "variants": [{"label": "bessel", "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"}}],
     },
+    "kernel_typo": {"scenario": "circle", "operator": {"kernel": "bessel"}},
+    "zero_mode_typo": {"scenario": "steklov_lebesgue", "operator": {"zero_mode": "keep"}},
+    "diagonal_rule_typo": {"scenario": "circle", "operator": {"diagonal_rule": "none"}},
+    "log_potential_diagonal_rule_typo": {"scenario": "circle", "operator": {"route": "logpotential", "diagonal_rule": "none"}},
+    "negative_log_coefficient": {"scenario": "circle", "operator": {"log_coefficient": -1}},
+    "zero_log_coefficient": {"scenario": "sphere", "operator": {"log_coefficient": 0}},
+    "word_cutoff": {"scenario": "circle_fourier", "operator": {"K": "forty"}},
+    "fractional_cutoff": {"scenario": "steklov_lebesgue", "operator": {"K": 150.5}},
+    "unknown_measure_parameter": {"scenario": "circle", "measure": {"params": {"atom": 200}}},
+    "variant_without_label": {"scenario": "circle", "variants": [{"operator": {"route": "logkernel"}}]},
+    "variant_without_operator": {"scenario": "steklov_lebesgue", "variants": [{"label": "shift"}]},
 }
 
 
@@ -341,3 +352,50 @@ def test_density_file_of_wrong_length_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
     assert "3 values for 400 atoms" in (out / "FAILED").read_text()
+
+
+def test_missing_density_file_is_config_error(tmp_path):
+    missing = tmp_path / "no_such_values.txt"
+    raw = {**SMALL_CIRCLE, "density": {"kind": "file", "path": str(missing)}}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    assert f"density file not found: {missing}" in (out / "FAILED").read_text()
+
+
+def test_log_potential_route_runs_the_library_assembly(tmp_path):
+    raw = {"scenario": "circle", "measure": {"params": {"atoms": 300}}, "variants": [], "checks": [],
+           "operator": {"route": "logpotential", "diagonal_rule": "zero"}, "analysis": {"window": [5, 20]}}
+    report = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "out")
+    mu, v = measures.builtin_measure("circle", {"atoms": 300})
+    direct = spectral.eigen_spectrum(operators.assemble_log_potential(mu, v, diagonal_rule="zero"))
+    assert report.eigen_primary.route == "logpotential"
+    assert np.array_equal(report.eigen_primary.positive, direct.positive)
+    assert np.array_equal(report.eigen_primary.negative, direct.negative)
+
+
+def test_steklov_budget_counts_the_kept_modes(tmp_path):
+    # dropping the zero mode keeps 2K = 40 modes, within a budget of 40
+    raw = {
+        "scenario": "steklov_lebesgue",
+        "operator": {"K": 20, "budget": 40},
+        "variants": [],
+        "checks": [{"name": "diagonal_exact", "kind": "steklov_diagonal", "tol": 1e-12}],
+    }
+    path = _write_config(tmp_path, raw)
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(path)]) == 0
+    assert json.loads((out / "summary.json").read_text())["spectral"]["primary"]["size"] == 40
+
+
+def test_cli_clipped_weyl_window_is_recorded(tmp_path):
+    # 400 atoms give 400 eigenvalues: the circle's window [100, 500] is clipped
+    raw = {"scenario": "circle", "measure": {"params": {"atoms": 400}}, "variants": [],
+           "checks": [{"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 1.0}]}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    plateau = summary["spectral"]["primary"]["plateau_plus"]
+    assert plateau["window"] == [100, 400] and plateau["requested"] == [100, 500]
+    (verdict,) = summary["verdicts"]
+    assert verdict["window"] == [100, 400] and verdict["requested"] == [100, 500]

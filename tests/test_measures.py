@@ -1,6 +1,9 @@
 """Measure construction, ball statistics, and regularity diagnostics."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +222,25 @@ def test_builtin_circle_plus_square_dims():
 def test_builtin_unknown_and_missing():
     with pytest.raises(ScenarioError):
         sl.builtin_measure("nonagon", {})
+
+
+def test_builtin_unknown_parameter_is_scenario_error():
+    with pytest.raises(ScenarioError, match="no parameter 'atom'"):
+        sl.builtin_measure("circle", {"atom": 200})
+    with pytest.raises(ScenarioError, match="no parameter 'atoms'"):
+        sl.measures.catalog_entry("cantor_line", {"atoms": 200})
+
+
+def test_readme_catalog_table_matches_the_builders():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \| (.*) \|$", readme, flags=re.M)
+    assert {name for name, _, _ in rows} == set(sl.measures.BUILTIN_MEASURES)
+    for name, dim, params in rows:
+        ambient_dim, build = sl.measures.catalog_entry(name)
+        declared = re.findall(r"`(\w+)` ([\d.]+)", params)
+        signature = inspect.signature(build).parameters.values()
+        assert int(dim) == ambient_dim
+        assert declared == [(p.name, repr(p.default)) for p in signature], name
 
 
 def test_builtin_sphere_mass():

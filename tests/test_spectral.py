@@ -289,6 +289,43 @@ def test_dixmier_signed_report():
     assert est.final == pytest.approx(total, rel=1e-12)
 
 
+def _three_branch_dixmier(pos, neg):
+    """The signed Dixmier sequence with one branch per sign pattern."""
+    if len(neg) == 0:
+        return np.cumsum(pos) / np.log(np.arange(1, len(pos) + 1, dtype=float) + 2.0)
+    if len(pos) == 0:
+        return -(np.cumsum(neg) / np.log(np.arange(1, len(neg) + 1, dtype=float) + 2.0))
+    m = max(len(pos), len(neg))
+    cp, cn = np.cumsum(pos), np.cumsum(neg)
+    cp = np.concatenate([cp, np.full(m - len(cp), cp[-1])])
+    cn = np.concatenate([cn, np.full(m - len(cn), cn[-1])])
+    return (cp - cn) / np.log(np.arange(1, m + 1, dtype=float) + 2.0)
+
+
+def test_dixmier_signed_report_is_one_formula_for_every_sign_pattern():
+    rng = np.random.default_rng(7)
+    sizes = [(0, 5), (5, 0), (1, 1), (3, 40), (40, 3)] + [tuple(rng.integers(0, 60, 2)) for _ in range(300)]
+    for n_pos, n_neg in sizes:
+        if n_pos + n_neg == 0:
+            continue
+        pos = np.sort(rng.lognormal(-3.0, 2.0, n_pos))[::-1]
+        neg = np.sort(rng.lognormal(-3.0, 2.0, n_neg))[::-1]
+        got = dixmier_sequence(EigenReport(positive=pos, negative=neg, size=n_pos + n_neg, floor=0.0))
+        want = _three_branch_dixmier(pos, neg)
+        assert np.array_equal(got.sequence, want) and np.array_equal(np.signbit(got.sequence), np.signbit(want))
+        assert got.final == want[-1]
+    with pytest.raises(ValueError):
+        dixmier_sequence(EigenReport(positive=np.empty(0), negative=np.empty(0), size=1, floor=0.0))
+
+
+def test_eigen_report_sequence_reads_only_sign_symbols():
+    rep = _report_from([2.0, 1.0, -1.0])
+    assert np.array_equal(rep.sequence("+"), [2.0, 1.0]) and np.array_equal(rep.sequence("-"), [1.0])
+    for alias in ("plus", "positive", "minus", "negative"):
+        with pytest.raises(ValueError):
+            rep.sequence(alias)
+
+
 # -- order bounds ----------------------------------------------------------------------
 
 
