@@ -61,6 +61,7 @@ _EXPORTS = {
     # spectral
     "EigenReport": "spectral",
     "WeylFit": "spectral",
+    "OrderBounds": "spectral",
     "DixmierEstimate": "spectral",
     "eigen_spectrum": "spectral",
     "counting": "spectral",

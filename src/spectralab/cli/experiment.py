@@ -40,6 +40,14 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _operator(base: dict, override: dict) -> dict:
+    """The scenario's operator with the config's overrides; an override that
+    names another route replaces it, so no key of the old route carries over."""
+    if override.get("route", base["route"]) != base["route"]:
+        return dict(override)
+    return _merge(base, override)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
@@ -63,7 +71,7 @@ class ExperimentConfig:
             seed=int(raw.get("seed", 0)),
             measure=_merge(base["measure"], raw.get("measure", {})),
             density=_merge(base["density"], raw.get("density", {})),
-            operator=_merge(base["operator"], raw.get("operator", {})),
+            operator=_operator(base["operator"], raw.get("operator", {})),
             analysis=_merge(base.get("analysis", {}), raw.get("analysis", {})),
             checks=raw.get("checks", base.get("checks", [])),
             compare=raw.get("compare", base.get("compare")),
@@ -93,13 +101,17 @@ class ExperimentConfig:
         for op_cfg in (self.operator, self.compare, *(v["operator"] for v in self.variants)):
             if op_cfg is not None:
                 _assembly(op_cfg, ambient_dim)
-        for key in ("window", "order_window"):
-            win = self.analysis.get(key)
-            if win is not None and (len(win) != 2 or win[0] < 1 or win[1] < win[0]):
+        for key, win in self.analysis.items():
+            if key not in ("window", "order_window"):
+                raise ConfigError(f"analysis has no key {key!r}; it takes window, order_window")
+            if not (isinstance(win, (list, tuple)) and list(map(type, win)) == [int, int] and 1 <= win[0] <= win[1]):
                 raise ConfigError(f"invalid analysis {key} {win!r}")
         kind = self.density.get("kind", "default")
-        if kind not in ("default", "constant", "expression", "file"):
+        if kind not in _DENSITY_KEYS:
             raise ConfigError(f"unknown density kind {kind!r}")
+        missing = [key for key in _DENSITY_KEYS[kind] if key not in self.density]
+        if missing:
+            raise ConfigError(f"{kind} density needs {', '.join(missing)}")
         for check in self.checks:
             _validate_check(check, self)
 
@@ -192,17 +204,20 @@ def _eval_density(node: ast.AST, env: dict):
     raise ConfigError(f"density expression may not contain {ast.unparse(node)!r}")
 
 
+# Density kind -> the keys it needs.
+_DENSITY_KEYS = {"default": (), "constant": (), "expression": ("expr",), "file": ("path",)}
+
+
 def _resolve_density(
     cfg: ExperimentConfig, mu: measures.PointCloudMeasure, default: measures.SignedDensity
 ) -> measures.SignedDensity:
+    """The configured density on the atoms; ConfigError if it is zero on every atom."""
     kind = cfg.density.get("kind", "default")
     if kind == "default":
-        return default
-    if kind == "constant":
-        return measures.SignedDensity(
-            np.full(mu.atom_count, float(cfg.density.get("value", 1.0)))
-        )
-    if kind == "expression":
+        v = default
+    elif kind == "constant":
+        v = measures.SignedDensity(np.full(mu.atom_count, float(cfg.density.get("value", 1.0))))
+    elif kind == "expression":
         env = {"pi": math.pi}
         names = ["x", "y", "z"]
         for ax in range(mu.ambient_dim):
@@ -210,16 +225,27 @@ def _resolve_density(
             if ax < len(names):
                 env[names[ax]] = mu.positions[:, ax]
         vals = _eval_density(_parse_density(cfg.density["expr"]), env)
-        return measures.SignedDensity(np.broadcast_to(vals, (mu.atom_count,)).astype(float))
-    if kind == "file":
+        v = measures.SignedDensity(np.broadcast_to(vals, (mu.atom_count,)).astype(float))
+    else:
         try:
             vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
         except FileNotFoundError as exc:
             raise ConfigError(f"density file not found: {cfg.density['path']}") from exc
         if len(vals) != mu.atom_count:
             raise ConfigError(f"density file holds {len(vals)} values for {mu.atom_count} atoms")
-        return measures.SignedDensity(vals)
-    raise ConfigError(f"unknown density kind {kind!r}")
+        v = measures.SignedDensity(vals)
+    if not np.any(v.values):
+        raise ConfigError(f"the {kind} density is zero on every atom")
+    return v
+
+
+# The keys each operator route reads, besides "route".
+_ROUTE_KEYS = {
+    "fourier": {"L", "K", "budget"},
+    "steklov": {"K", "zero_mode", "center", "budget"},
+    "logkernel": {"kernel", "log_coefficient", "diagonal_rule"},
+    "logpotential": {"diagonal_rule"},
+}
 
 
 def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
@@ -228,6 +254,14 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
     library's own checks; a failure is a ConfigError.  The call looks up
     operators.assemble_* when it runs, so that wrappers of them see it."""
     route = op_cfg.get("route")
+    if route not in _ROUTE_KEYS:
+        raise ConfigError(f"unknown operator route {route!r}")
+    unknown = sorted(set(op_cfg) - _ROUTE_KEYS[route] - {"route"})
+    if unknown:
+        raise ConfigError(
+            f"{route} operator has no parameter {', '.join(map(repr, unknown))}; "
+            f"it takes {', '.join(sorted(_ROUTE_KEYS[route]))}"
+        )
     planar = route == "steklov" or (route == "logkernel" and op_cfg.get("kernel") == "bessel_exact_N2")
     if planar and ambient_dim != 2:
         raise ConfigError(f"operator {op_cfg} needs a measure in the plane, not in R^{ambient_dim}")
@@ -249,21 +283,22 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
             log_coefficient=op_cfg.get("log_coefficient"),
             diagonal_rule=op_cfg.get("diagonal_rule", "cell_average"),
         )
-        if route == "logkernel":
-            return lambda mu, v: operators.assemble_log_kernel(mu, v, spec)
-        if route == "logpotential":
-            return lambda mu, v: operators.assemble_log_potential(mu, v, diagonal_rule=spec.diagonal_rule)
     except KeyError as exc:
         raise ConfigError(f"{route} operator needs {exc}") from exc
     except (ValueError, TypeError, BudgetError) as exc:
         raise ConfigError(f"{route} operator {op_cfg}: {exc}") from exc
-    raise ConfigError(f"unknown operator route {route!r}")
+    if route == "logkernel":
+        return lambda mu, v: operators.assemble_log_kernel(mu, v, spec)
+    return lambda mu, v: operators.assemble_log_potential(mu, v, diagonal_rule=spec.diagonal_rule)
 
 
-def _clip(window, requested) -> dict:
-    """The requested window, if it was clipped to a spectrum too short for it."""
-    clipped = requested is not None and list(window) != list(requested)
-    return {"requested": list(requested)} if clipped else {}
+def _fit_entry(fit: Callable, report: spectral.EigenReport, sign: str, window) -> dict | None:
+    """A windowed fit as summary data; None if the spectrum cannot fill its window."""
+    try:
+        record = asdict(fit(report, sign, window=window))
+    except SpectralWindowError:
+        return None
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in record.items() if v is not None}
 
 
 def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
@@ -275,23 +310,9 @@ def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
         "n_negative": int(len(report.negative)),
         "top_positive": [float(x) for x in report.positive[:40]],
         "top_negative": [float(x) for x in report.negative[:40]],
+        "plateau_plus": _fit_entry(spectral.weyl_plateau, report, "+", analysis.get("window")),
+        "plateau_minus": _fit_entry(spectral.weyl_plateau, report, "-", analysis.get("window")),
     }
-    window = analysis.get("window")
-    fractions = tuple(analysis.get("window_fractions", spectral.DEFAULT_WINDOW_FRACTIONS))
-    for sign, key in (("+", "plateau_plus"), ("-", "plateau_minus")):
-        seq = report.sequence(sign)
-        if len(seq) >= 40:
-            fit = spectral.weyl_plateau(
-                report, sign=sign, window=window, window_fractions=fractions
-            )
-            out[key] = {
-                "window": list(fit.window),
-                "plateau": fit.plateau,
-                "dispersion": fit.dispersion,
-                **_clip(fit.window, window),
-            }
-        else:
-            out[key] = None
     if len(report.positive):
         out["dixmier_final_positive"] = spectral.DixmierEstimate.from_values(
             report.positive
@@ -299,12 +320,7 @@ def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
     if len(report.positive) or len(report.negative):
         out["dixmier_final_signed"] = spectral.dixmier_sequence(report).final
     ow = analysis.get("order_window")
-    if ow is not None and len(report.positive) >= ow[0]:
-        lo, hi = spectral.order_bounds(report, "+", window=tuple(ow))
-        window = list(spectral.resolve_window(len(report.positive), tuple(ow)))
-        out["order_bounds"] = {"window": window, "inf": lo, "sup": hi, **_clip(window, ow)}
-    else:
-        out["order_bounds"] = None
+    out["order_bounds"] = None if ow is None else _fit_entry(spectral.order_bounds, report, "+", ow)
     return out
 
 
@@ -431,13 +447,16 @@ def _prediction(check: dict, report) -> dict:
 
 def _summary_value(report, key: str, variant: str | None = None):
     """A number from the spectral summary of the primary spectrum (or of a
-    variant's); SpectralWindowError if the spectrum was too short for it."""
+    variant's); SpectralWindowError, naming the configured window, if the
+    spectrum was too short for it."""
     spec = report.spectral_summary
     part = spec["variants"][variant] if variant else spec["primary"]
     if part.get(key) is None:
+        name = "order_window" if key == "order_bounds" else "window"
         raise SpectralWindowError(
             f"no {key}: the spectrum has {part['n_positive']} positive and "
-            f"{part['n_negative']} negative eigenvalues"
+            f"{part['n_negative']} negative eigenvalues, too few for the analysis "
+            f"{name} {report.config.analysis.get(name, '(default fractions)')}"
         )
     return part[key]
 

@@ -82,26 +82,14 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "coeffs-table":
-            from ..coeffs import write_coefficient_csv
+            from ..coeffs import coefficient_csv, write_coefficient_csv
 
-            pairs = [
-                (d, codim)
-                for n in range(2, args.max_dim + 1)
-                for d in range(1, n)
-                for codim in [n - d]
-            ]
-            pairs = sorted(set(pairs))
+            pairs = sorted((d, n - d) for n in range(2, args.max_dim + 1) for d in range(1, n))
             if args.file:
                 write_coefficient_csv(args.file, pairs)
                 print(f"wrote {args.file}")
             else:
-                from ..coeffs import coefficient_table
-
-                print("d,codim,printed,calibrated")
-                for row in coefficient_table(pairs):
-                    print(
-                        f"{row['d']},{row['codim']},{row['printed']!r},{row['calibrated']!r}"
-                    )
+                print(coefficient_csv(pairs), end="")
             return 0
 
         from .experiment import ExperimentConfig, run_experiment

@@ -381,9 +381,12 @@ def coefficient_table(pairs: Sequence[tuple[int, int]]) -> list[dict]:
     return rows
 
 
+def coefficient_csv(pairs: Sequence[tuple[int, int]]) -> str:
+    """The coefficient table as CSV text: header d,codim,printed,calibrated."""
+    rows = (f"{r['d']},{r['codim']},{r['printed']!r},{r['calibrated']!r}\n" for r in coefficient_table(pairs))
+    return "d,codim,printed,calibrated\n" + "".join(rows)
+
+
 def write_coefficient_csv(path, pairs: Sequence[tuple[int, int]]) -> None:
-    rows = coefficient_table(pairs)
     with open(path, "w") as f:
-        f.write("d,codim,printed,calibrated\n")
-        for r in rows:
-            f.write(f"{r['d']},{r['codim']},{r['printed']!r},{r['calibrated']!r}\n")
+        f.write(coefficient_csv(pairs))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
@@ -33,8 +34,8 @@ MASS_RTOL = 1e-12
 IFS_DIMENSION_CAP = 64.0
 IFS_RESIDUAL_TOL = 1e-12
 DEFAULT_ATOM_BUDGET = 200_000
-DEFAULT_REGULARITY_THRESHOLD = 50.0
-DEFAULT_PREISS_CONSTANT = 10.0  # heuristic placeholder; the true constant is nonconstructive
+REGULARITY_THRESHOLD = 50.0
+PREISS_CONSTANT = 10.0  # heuristic placeholder; the true constant is nonconstructive
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -525,12 +526,11 @@ def ahlfors_constants(
     radii: Sequence[float],
     sample_count: int,
     seed: int = 0,
-    ratio_threshold: float = DEFAULT_REGULARITY_THRESHOLD,
 ) -> AhlforsBand:
     """Scan mu(B(X, r)) / r^s over sampled atoms X; report the min/max band.
 
     The measure is flagged empirically s-regular when the band ratio stays
-    below `ratio_threshold`.
+    below REGULARITY_THRESHOLD.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -550,8 +550,8 @@ def ahlfors_constants(
         exponent=s,
         c_lower=lo,
         c_upper=hi,
-        is_regular=bool(lo > 0 and hi / lo <= ratio_threshold),
-        threshold=ratio_threshold,
+        is_regular=bool(lo > 0 and hi / lo <= REGULARITY_THRESHOLD),
+        threshold=REGULARITY_THRESHOLD,
         radii=tuple(float(x) for x in r),
         sample_count=len(centers),
     )
@@ -562,8 +562,8 @@ class DensityEstimate:
     """Finite-scale proxy for the lower/upper s-densities at one point.
 
     `mat_cond_ok` flags 0 < density < infinity at finite scale;
-    `preiss_ok` flags upper < c * lower with the configurable placeholder
-    constant (the true constant is nonconstructive) -- both heuristics.
+    `preiss_ok` flags upper < c * lower with the placeholder constant
+    PREISS_CONSTANT (the true constant is nonconstructive) -- both heuristics.
     """
 
     exponent: float
@@ -584,7 +584,6 @@ def density_bounds(
     s: float,
     center: Sequence[float],
     radii: Sequence[float],
-    preiss_constant: float = DEFAULT_PREISS_CONSTANT,
 ) -> DensityEstimate:
     """Min/max of mu(B(X, r)) / r^s over the given radii at a fixed center."""
     r = np.asarray(sorted(radii), dtype=float)
@@ -600,8 +599,8 @@ def density_bounds(
         upper=upper,
         radii_used=tuple(float(x) for x in r),
         mat_cond_ok=bool(lower > 0 and math.isfinite(upper)),
-        preiss_ok=bool(upper < preiss_constant * lower),
-        preiss_constant=preiss_constant,
+        preiss_ok=bool(upper < PREISS_CONSTANT * lower),
+        preiss_constant=PREISS_CONSTANT,
     )
 
 
@@ -724,7 +723,9 @@ BUILTIN_MEASURES = {
 
 def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]:
     """(ambient dimension, builder) of a catalog measure; ScenarioError if the
-    name is unknown or `params` holds a key the builder does not take."""
+    name is unknown, or if `params` holds a key the builder does not take or
+    a value not of its default's type (an integer for an int default, a real
+    number for a float one, never a bool)."""
     if name not in BUILTIN_MEASURES:
         raise ScenarioError(f"unknown measure {name!r}")
     ambient_dim, build = BUILTIN_MEASURES[name]
@@ -732,6 +733,11 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
     unknown = ", ".join(map(repr, sorted(set(params or {}) - set(known))))
     if unknown:
         raise ScenarioError(f"measure {name!r} has no parameter {unknown}; it takes {', '.join(known)}")
+    for key, value in (params or {}).items():
+        kind = numbers.Integral if isinstance(known[key].default, int) else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            expected = "an integer" if kind is numbers.Integral else "a real number"
+            raise ScenarioError(f"measure {name!r} parameter {key!r} must be {expected}, not {value!r}")
     return ambient_dim, build
 
 

@@ -22,6 +22,7 @@ from .errors import SaturationError
 from .measures import PointCloudMeasure, SignedDensity, check_pairing
 
 PHI_ARG_CAP = 700.0  # beyond this expm1 overflows double precision
+HOLDER_CONSTANT = 2.0  # of the Luxemburg-norm pairing
 _BISECT_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-10
 
@@ -222,9 +223,8 @@ def holder_bound(
     f_values: SignedDensity,
     v_values: SignedDensity,
     measure: PointCloudMeasure,
-    constant: float = 2.0,
 ) -> tuple[float, float]:
-    """Return (|integral of f V dmu|, C * ||f||_phi * ||V||_psi).
+    """Return (|integral of f V dmu|, HOLDER_CONSTANT * ||f||_phi * ||V||_psi).
 
     With the classical Luxemburg-norm pairing the Holder constant is 2; the
     first component never exceeds the second.
@@ -233,7 +233,7 @@ def holder_bound(
     check_pairing(measure, v_values)
     lhs = abs(float(np.sum(measure.weights * f_values.values * v_values.values)))
     rhs = (
-        constant
+        HOLDER_CONSTANT
         * luxemburg_norm(f_values, measure, "phi").value
         * luxemburg_norm(v_values, measure, "psi").value
     )

@@ -4,8 +4,8 @@ plateaus, Dixmier sequences, order bounds, and cross-route spectrum matching.
 The plateau statistic is a median of k * lambda_k over an index window, not a
 fit of n(lambda): medians are robust to the staircase shape of counting
 functions.  Window defaults (5%..25% of the spectrum length) deliberately
-exclude the discretization-corrupted tail; windows are artifact conventions
-and are reported alongside every number.
+exclude the discretization-corrupted tail; windows are artifact conventions,
+so every windowed fit returns the window it used (see resolve_window).
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .operators import AssembledOperator
 
 EIGENVALUE_FLOOR_FACTOR = 1e-14
 RESIDUAL_TOL = 1e-8
+RESIDUAL_PAIRS = 5
 DEFAULT_WINDOW_FRACTIONS = (0.05, 0.25)
+PLATEAU_MIN_COUNT = 40
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,12 @@ def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray
     return x
 
 
-def eigen_spectrum(
-    op: AssembledOperator, residual_pairs: int = 5
-) -> EigenReport:
+def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     """Full dense self-adjoint eigensolve with a residual spot check.
 
     One Householder reduction to a real tridiagonal T serves both steps.
     All eigenvalues come from dsterf on T.  A contiguous block of
-    `residual_pairs` eigenpairs at the large-magnitude end is then found
+    RESIDUAL_PAIRS eigenpairs at the large-magnitude end is then found
     again on T by bisection and inverse iteration, back-transformed with the
     reduction's reflectors, and checked against the original matrix:
     ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf agree to 1e-8 ||M||.
@@ -148,7 +148,7 @@ def eigen_spectrum(
     norm = float(np.abs(values).max(initial=0.0))
 
     if norm > 0 and n >= 2:
-        lo, hi = _residual_block(n, values, residual_pairs)
+        lo, hi = _residual_block(n, values, RESIDUAL_PAIRS)
         vals_blk, z = _tridiagonal_pairs(d, e, lo, hi)
         vecs_blk = _back_transform(c, tau, z)
         resid = np.linalg.norm(m @ vecs_blk - vecs_blk * vals_blk, axis=0)
@@ -190,51 +190,49 @@ class WeylFit:
     window: tuple[int, int]  # 1-indexed, inclusive
     plateau: float
     dispersion: float  # interquartile range / plateau
+    requested: tuple[int, int] | None = None  # the explicit window, if clipped
 
     def __post_init__(self):
         if self.window[0] < 1 or self.plateau < 0:
             raise ValueError("invalid Weyl fit")
 
 
-def resolve_window(
-    n: int,
-    window: tuple[int, int] | None,
-    fractions: tuple[float, float] = DEFAULT_WINDOW_FRACTIONS,
-) -> tuple[int, int]:
+def resolve_window(n: int, window: tuple[int, int] | None) -> tuple[int, int]:
     """1-indexed inclusive window over n eigenvalues: an explicit window
-    clipped to [1, n], or the given fractions of n."""
-    if window is not None:
-        lo, hi = int(window[0]), int(window[1])
-        lo = max(lo, 1)
-        hi = min(hi, n)
-    else:
-        lo = max(1, int(round(fractions[0] * n)))
-        hi = min(n, int(round(fractions[1] * n)))
+    clipped to [1, n], or DEFAULT_WINDOW_FRACTIONS of n.  A window the
+    spectrum cannot fill raises SpectralWindowError; every windowed fit
+    resolves its window here."""
+    fractions = DEFAULT_WINDOW_FRACTIONS
+    lo, hi = window if window is not None else (round(fractions[0] * n), round(fractions[1] * n))
+    lo, hi = max(int(lo), 1), min(int(hi), n)
     if hi < lo:
         raise SpectralWindowError(f"window [{lo}, {hi}] is empty for {n} eigenvalues")
     return lo, hi
 
 
-def weyl_plateau(
-    report: EigenReport,
-    sign: str = "+",
-    window_fractions: tuple[float, float] = DEFAULT_WINDOW_FRACTIONS,
-    window: tuple[int, int] | None = None,
-    min_count: int = 40,
-) -> WeylFit:
-    """Median of k * lambda_k over the window; dispersion is IQR / plateau."""
+def _windowed_products(report: EigenReport, sign: str, window) -> tuple[np.ndarray, dict]:
+    """k * lambda_k over the resolved window, and the fit's window fields:
+    the window used, and the requested one when the spectrum clipped it."""
     seq = report.sequence(sign)
-    if len(seq) < min_count:
-        raise SpectralWindowError(
-            f"need at least {min_count} eigenvalues of sign {sign}, have {len(seq)}"
-        )
-    lo, hi = resolve_window(len(seq), window, window_fractions)
-    k = np.arange(lo, hi + 1, dtype=float)
-    products = k * seq[lo - 1 : hi]
+    lo, hi = resolve_window(len(seq), window)
+    clipped = window is not None and (lo, hi) != tuple(window)
+    products = np.arange(lo, hi + 1, dtype=float) * seq[lo - 1 : hi]
+    return products, {"window": (lo, hi), "requested": tuple(window) if clipped else None}
+
+
+def weyl_plateau(
+    report: EigenReport, sign: str = "+", window: tuple[int, int] | None = None
+) -> WeylFit:
+    """Median of k * lambda_k over the window; dispersion is IQR / plateau.
+    A plateau needs PLATEAU_MIN_COUNT eigenvalues of its sign."""
+    count = len(report.sequence(sign))
+    if count < PLATEAU_MIN_COUNT:
+        raise SpectralWindowError(f"need at least {PLATEAU_MIN_COUNT} eigenvalues of sign {sign}, have {count}")
+    products, fields = _windowed_products(report, sign, window)
     plateau = float(np.median(products))
     q1, q3 = np.percentile(products, [25, 75])
     dispersion = float((q3 - q1) / plateau) if plateau > 0 else math.inf
-    return WeylFit(window=(lo, hi), plateau=plateau, dispersion=dispersion)
+    return WeylFit(plateau=plateau, dispersion=dispersion, **fields)
 
 
 @dataclass(frozen=True)
@@ -276,17 +274,22 @@ def dixmier_sequence(arg) -> DixmierEstimate:
     return DixmierEstimate.from_values(np.asarray(arg, dtype=float))
 
 
+@dataclass(frozen=True)
+class OrderBounds:
+    """inf and sup of k * lambda_k over a window: the two-sided order witness."""
+
+    inf: float
+    sup: float
+    window: tuple[int, int]  # 1-indexed, inclusive
+    requested: tuple[int, int] | None = None  # the explicit window, if clipped
+
+
 def order_bounds(
     report: EigenReport, sign: str = "+", window: tuple[int, int] | None = None
-) -> tuple[float, float]:
-    """(inf, sup) of k * lambda_k over the window: the two-sided order witness."""
-    seq = report.sequence(sign)
-    if len(seq) == 0:
-        raise SpectralWindowError("empty spectrum")
-    lo, hi = resolve_window(len(seq), window)
-    k = np.arange(lo, hi + 1, dtype=float)
-    products = k * seq[lo - 1 : hi]
-    return float(products.min()), float(products.max())
+) -> OrderBounds:
+    """(inf, sup) of k * lambda_k over the window, with the window used."""
+    products, fields = _windowed_products(report, sign, window)
+    return OrderBounds(inf=float(products.min()), sup=float(products.max()), **fields)
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,8 @@ def test_criterion_08_fractal_order_sharpness():
     rep = sl.eigen_spectrum(
         sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
     )
-    lo, hi = sl.order_bounds(rep, "+", window=(20, 400))
+    bounds = sl.order_bounds(rep, "+", window=(20, 400))
+    lo, hi = bounds.inf, bounds.sup
     ratio = hi / lo
     av = averaged_norm(v, mu)
     fitted_c = hi / av
@@ -208,7 +209,8 @@ def test_criterion_09_steklov():
     rep_c = sl.eigen_spectrum(
         sl.assemble_steklov_circle(muc, vc, K=2500, zero_mode="drop")
     )
-    lo, hi = sl.order_bounds(rep_c, "+", window=(20, 300))
+    bounds = sl.order_bounds(rep_c, "+", window=(20, 300))
+    lo, hi = bounds.inf, bounds.sup
     rep_cs = sl.eigen_spectrum(
         sl.assemble_steklov_circle(muc, vc, K=2500, zero_mode="shift")
     )

@@ -111,12 +111,11 @@ def _oracle(check, report) -> dict:
     mu, v = measures.builtin_measure(cfg.measure["name"], cfg.measure.get("params", {}))
     v = experiment._resolve_density(cfg, mu, v)
     window = cfg.analysis.get("window")
-    fractions = tuple(cfg.analysis.get("window_fractions", spectral.DEFAULT_WINDOW_FRACTIONS))
     kind, tol = check["kind"], check.get("tol")
     entry = {"name": check.get("name", kind), "kind": kind}
 
     def plateau(rep, sign="+"):
-        return spectral.weyl_plateau(rep, sign=sign, window=window, window_fractions=fractions)
+        return spectral.weyl_plateau(rep, sign=sign, window=window)
 
     def graded(observed, expected):
         rel = abs(observed / expected - 1.0)
@@ -153,12 +152,13 @@ def _oracle(check, report) -> dict:
         entry.update(observed=dix, expected=target, abs_error=err, tol=tol, **{"pass": err <= tol})
     elif kind == "order_ratio":
         ow = cfg.analysis["order_window"]
-        lo, hi = spectral.order_bounds(primary, "+", window=tuple(ow))
+        bounds = spectral.order_bounds(primary, "+", window=tuple(ow))
+        lo, hi = bounds.inf, bounds.sup
         entry.update(observed=hi / lo, inf=lo, sup=hi, tol=tol, **order_window(ow))
         entry["pass"] = hi / lo <= tol
     elif kind == "order_norm_constant":
         ow = cfg.analysis["order_window"]
-        _, hi = spectral.order_bounds(primary, "+", window=tuple(ow))
+        hi = spectral.order_bounds(primary, "+", window=tuple(ow)).sup
         av = orlicz.averaged_norm(v, mu)
         factor = check.get("factor", 5.0)
         bound = factor * av

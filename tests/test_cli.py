@@ -151,7 +151,7 @@ def test_cli_coeffs_table(capsys, tmp_path):
 
     target = tmp_path / "coeffs.csv"
     assert main(["coeffs-table", "--file", str(target)]) == 0
-    assert target.exists()
+    assert target.read_text() == out
 
 
 def test_svg_output(tmp_path):
@@ -323,6 +323,16 @@ MALFORMED = {
     "unknown_measure_parameter": {"scenario": "circle", "measure": {"params": {"atom": 200}}},
     "variant_without_label": {"scenario": "circle", "variants": [{"operator": {"route": "logkernel"}}]},
     "variant_without_operator": {"scenario": "steklov_lebesgue", "variants": [{"label": "shift"}]},
+    "operator_key_typo": {"scenario": "circle", "operator": {"kernal": "pure_log"}},
+    "budget_on_a_nystrom_route": {"scenario": "circle", "operator": {"budget": 4000}},
+    "kernel_on_log_potential": {"scenario": "circle", "operator": {"route": "logpotential", "kernel": "pure_log"}},
+    "word_atom_count": {"scenario": "circle", "measure": {"params": {"atoms": "many"}}},
+    "fractional_atom_count": {"scenario": "circle", "measure": {"params": {"atoms": 400.5}}},
+    "boolean_radius": {"scenario": "circle", "measure": {"params": {"radius": True}}},
+    "expression_density_without_expr": {"scenario": "circle", "density": {"kind": "expression"}},
+    "file_density_without_path": {"scenario": "circle", "density": {"kind": "file"}},
+    "analysis_window_fractions": {"scenario": "circle", "analysis": {"window_fractions": [0.1, 0.3]}},
+    "fractional_window": {"scenario": "circle", "analysis": {"window": [100.5, 500]}},
 }
 
 
@@ -334,6 +344,24 @@ def test_malformed_config_rejected_before_any_output(tmp_path, raw, capsys):
     assert main(["--out", str(out), "run", str(path)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "density", [{"kind": "constant", "value": 0}, {"kind": "expression", "expr": "0 * x"}], ids=["constant", "expression"]
+)
+def test_density_zero_on_every_atom_is_config_error(tmp_path, density):
+    raw = {**SMALL_CIRCLE, "density": density, "checks": []}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    assert "stage: measure" in (out / "FAILED").read_text()
+    assert "density is zero on every atom" in (out / "FAILED").read_text()
+
+
+def test_operator_override_of_another_route_replaces_the_scenario_operator():
+    replaced = ExperimentConfig.from_dict({"scenario": "circle", "operator": {"route": "logpotential"}})
+    assert replaced.operator == {"route": "logpotential"}
+    merged = ExperimentConfig.from_dict({"scenario": "circle", "operator": {"kernel": "pure_log"}})
+    assert merged.operator == {"route": "logkernel", "kernel": "pure_log", "diagonal_rule": "cell_average"}
 
 
 def test_every_scenario_and_config_validates():
@@ -399,3 +427,38 @@ def test_cli_clipped_weyl_window_is_recorded(tmp_path):
     assert plateau["window"] == [100, 400] and plateau["requested"] == [100, 500]
     (verdict,) = summary["verdicts"]
     assert verdict["window"] == [100, 400] and verdict["requested"] == [100, 500]
+
+
+# Windows the spectrum cannot fill: 300 atoms give at most 300 eigenvalues of
+# each sign, and the depth-6 Cantor measure has 64 atoms.
+UNFILLABLE = {
+    "weyl_plus": (
+        {"scenario": "segment", "measure": {"params": {"atoms": 300}}, "analysis": {"window": [400, 500]}},
+        "plateau_plus",
+        {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 1.0},
+    ),
+    "weyl_minus": (
+        {"scenario": "half_signed_circle", "measure": {"params": {"atoms": 300}}, "analysis": {"window": [400, 500]}},
+        "plateau_minus",
+        {"name": "plateau_minus", "kind": "plateau", "sign": "-", "target": "predicted", "tol": 1.0},
+    ),
+    "order": (
+        {"scenario": "cantor_line", "measure": {"params": {"depth": 6}}, "analysis": {"order_window": [100, 200]}},
+        "order_bounds",
+        {"name": "order_sharpness", "kind": "order_ratio", "sign": "+", "tol": 10.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("raw, key, check", UNFILLABLE.values(), ids=UNFILLABLE.keys())
+def test_unfillable_window_reads_as_null(tmp_path, capsys, raw, key, check):
+    unread = _write_config(tmp_path, {**raw, "checks": []}, "unread.json")
+    assert main(["--out", str(tmp_path / "unread"), "run", str(unread)]) == 0
+    summary = json.loads((tmp_path / "unread" / "summary.json").read_text())
+    assert summary["spectral"]["primary"][key] is None
+
+    read = _write_config(tmp_path, {**raw, "checks": [check]}, "read.json")
+    assert main(["--out", str(tmp_path / "read"), "run", str(read)]) == 2
+    assert (tmp_path / "read" / "FAILED").read_text().startswith("stage: verdicts")
+    ((name, window),) = raw["analysis"].items()
+    assert f"too few for the analysis {name} {window}" in capsys.readouterr().err

@@ -242,6 +242,20 @@ def test_plateau_explicit_window_and_errors():
         weyl_plateau(_report_from([1.0, 0.5]))  # fewer than 40 eigenvalues
 
 
+@pytest.mark.parametrize("fit", [weyl_plateau, order_bounds], ids=["weyl_plateau", "order_bounds"])
+def test_windowed_fits_return_the_window_they_used(fit):
+    rep = _report_from(1.0 / np.arange(1, 101))
+    assert fit(rep, window=(10, 50)).window == (10, 50)
+    assert fit(rep, window=(10, 50)).requested is None
+    assert fit(rep).window == (5, 25) and fit(rep).requested is None
+    clipped = fit(rep, window=(10, 300))
+    assert clipped.window == (10, 100) and clipped.requested == (10, 300)
+    with pytest.raises(SpectralWindowError):
+        fit(rep, window=(101, 300))  # starts past the spectrum
+    with pytest.raises(SpectralWindowError):
+        fit(rep, "-")  # no negative eigenvalues
+
+
 # -- dixmier ------------------------------------------------------------------------
 
 
@@ -332,7 +346,8 @@ def test_eigen_report_sequence_reads_only_sign_symbols():
 def test_order_bounds_exact_law():
     c = 1.3
     rep = _report_from(c / np.arange(1, 501))
-    lo, hi = order_bounds(rep, "+", window=(20, 400))
+    bounds = order_bounds(rep, "+", window=(20, 400))
+    lo, hi = bounds.inf, bounds.sup
     assert lo == pytest.approx(c, rel=1e-12)
     assert hi == pytest.approx(c, rel=1e-12)
 
@@ -340,8 +355,10 @@ def test_order_bounds_exact_law():
 def test_order_bounds_wrong_decay_flagged():
     k = np.arange(1, 2001)
     rep = _report_from(1.0 / k**1.5)
-    lo1, hi1 = order_bounds(rep, "+", window=(10, 100))
-    lo2, hi2 = order_bounds(rep, "+", window=(10, 1000))
+    bounds1 = order_bounds(rep, "+", window=(10, 100))
+    lo1, hi1 = bounds1.inf, bounds1.sup
+    bounds2 = order_bounds(rep, "+", window=(10, 1000))
+    lo2, hi2 = bounds2.inf, bounds2.sup
     assert hi2 / lo2 > hi1 / lo1  # ratio grows with window width
 
 
