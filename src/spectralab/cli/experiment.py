@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, field
@@ -68,7 +69,7 @@ class ExperimentConfig:
         base = scenario_defaults(raw["scenario"])
         cfg = ExperimentConfig(
             scenario=raw["scenario"],
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             measure=_merge(base["measure"], raw.get("measure", {})),
             density=_merge(base["density"], raw.get("density", {})),
             operator=_operator(base["operator"], raw.get("operator", {})),
@@ -93,6 +94,8 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def validate(self) -> None:
+        if not _is_number(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, not {self.seed!r}")
         ambient_dim, _ = measures.catalog_entry(self.measure.get("name"), self.measure.get("params"))
         for var in self.variants:
             missing = [key for key in ("label", "operator") if key not in var]
@@ -112,12 +115,23 @@ class ExperimentConfig:
         missing = [key for key in _DENSITY_KEYS[kind] if key not in self.density]
         if missing:
             raise ConfigError(f"{kind} density needs {', '.join(missing)}")
+        if kind == "constant" and not _is_number(self.density.get("value", 1.0)):
+            raise ConfigError(f"constant density value must be a real number, not {self.density['value']!r}")
         for check in self.checks:
             _validate_check(check, self)
 
     def to_dict(self) -> dict:
         """The config as plain data (perfbench records it with each case)."""
         return asdict(self)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether a config value is a number of the kind (never a bool)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# The numeric keys of a check and their kind; a plateau target may also be "predicted".
+_CHECK_NUMBERS = {"tol": numbers.Real, "factor": numbers.Real, "target": numbers.Real, "top": numbers.Integral}
 
 
 def _validate_check(check: dict, cfg: ExperimentConfig) -> None:
@@ -128,6 +142,12 @@ def _validate_check(check: dict, cfg: ExperimentConfig) -> None:
     missing = [key for key in kind.fields if key not in check]
     if missing:
         raise ConfigError(f"check {name!r} needs {', '.join(missing)}")
+    for key, number in _CHECK_NUMBERS.items():
+        value = check.get(key, 0)
+        predicted = key == "target" and value == "predicted" and check["kind"] == "plateau"
+        if not (predicted or _is_number(value, number)):
+            expected = "an integer" if number is numbers.Integral else "a real number"
+            raise ConfigError(f"check {name!r} {key} must be {expected}, not {value!r}")
     present = {
         "compare": cfg.compare is not None,
         "analysis.order_window": "order_window" in cfg.analysis,
@@ -624,20 +644,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 "printed": _prediction_summary(mu, v, "printed"),
             },
         )
-        op = tick("assemble", _assembly(cfg.operator, mu.ambient_dim), mu, v)
-        primary = tick("eigensolve", spectral.eigen_spectrum, op)
+
+        def spectrum(op_cfg: dict, suffix: str = "") -> spectral.EigenReport:
+            # The operator is local, so its matrix is freed before the next is built.
+            op = tick(f"assemble{suffix}", _assembly(op_cfg, mu.ambient_dim), mu, v)
+            return tick(f"eigensolve{suffix}", spectral.eigen_spectrum, op)
+
+        primary = spectrum(cfg.operator)
         tick("spectrum_io", spectral.write_spectrum_csv, primary, out / "spectrum.csv")
 
         compare = None
         if cfg.compare is not None:
-            op2 = tick("assemble_compare", _assembly(cfg.compare, mu.ambient_dim), mu, v)
-            compare = tick("eigensolve_compare", spectral.eigen_spectrum, op2)
+            compare = spectrum(cfg.compare, "_compare")
             spectral.write_spectrum_csv(compare, out / "spectrum_compare.csv")
-        variants = {}
-        for var in cfg.variants:
-            label = var["label"]
-            vop = tick(f"assemble_{label}", _assembly(var["operator"], mu.ambient_dim), mu, v)
-            variants[label] = tick(f"eigensolve_{label}", spectral.eigen_spectrum, vop)
+        variants = {var["label"]: spectrum(var["operator"], f"_{var['label']}") for var in cfg.variants}
 
         stage = "analysis"
         summary = {"primary": _spectral_summary(primary, cfg.analysis)}

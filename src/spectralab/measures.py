@@ -650,7 +650,7 @@ def _segment(atoms=2000, length=1.0):
 
 def _two_circles(atoms=3000, r1=1.0, r2=0.5, gap=1.0):
     n, r1, r2 = int(atoms), float(r1), float(r2)
-    n1 = int(round(n * r1 / (r1 + r2)))
+    n1 = min(max(int(round(n * r1 / (r1 + r2))), 1), n - 1)  # an atom on each circle
     n2 = n - n1
     _, pos1, w1 = _circle_atoms(n1, r1, (0.0, 0.0))
     _, pos2, w2 = _circle_atoms(n2, r2, (r1 + float(gap) + r2, 0.0))
@@ -721,11 +721,19 @@ BUILTIN_MEASURES = {
 }
 
 
+# Least value of the integer catalog parameters: two atoms give every atom
+# a nearest neighbour and each circle of two_circles an atom.
+PARAM_MINIMUM = {"atoms": 2, "cells": 1, "depth": 1}
+# Catalog parameters that are lengths, and so must be positive.
+PARAM_LENGTHS = ("radius", "r1", "r2", "length", "side")
+
+
 def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]:
     """(ambient dimension, builder) of a catalog measure; ScenarioError if the
     name is unknown, or if `params` holds a key the builder does not take or
     a value not of its default's type (an integer for an int default, a real
-    number for a float one, never a bool)."""
+    number for a float one, never a bool), or out of range: a finite real,
+    at least PARAM_MINIMUM, and positive for the PARAM_LENGTHS."""
     if name not in BUILTIN_MEASURES:
         raise ScenarioError(f"unknown measure {name!r}")
     ambient_dim, build = BUILTIN_MEASURES[name]
@@ -738,6 +746,14 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
         if isinstance(value, bool) or not isinstance(value, kind):
             expected = "an integer" if kind is numbers.Integral else "a real number"
             raise ScenarioError(f"measure {name!r} parameter {key!r} must be {expected}, not {value!r}")
+        if key in PARAM_MINIMUM:
+            ok, bound = value >= PARAM_MINIMUM[key], f"at least {PARAM_MINIMUM[key]}"
+        elif key in PARAM_LENGTHS:
+            ok, bound = math.isfinite(value) and value > 0, "finite and positive"
+        else:
+            ok, bound = math.isfinite(value), "finite"
+        if not ok:
+            raise ScenarioError(f"measure {name!r} parameter {key!r} must be {bound}, not {value!r}")
     return ambient_dim, build
 
 

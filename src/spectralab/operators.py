@@ -34,11 +34,11 @@ from .errors import (
     BudgetError,
     DegenerateKernelError,
     NegativeDensityError,
+    SolverError,
     SupportTooLargeError,
 )
 from .measures import PointCloudMeasure, SignedDensity, check_pairing
 
-HERMITICITY_TOL = 1e-10
 DEFAULT_MATRIX_BUDGET = 12_000
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -65,22 +65,33 @@ class LogKernelSpec:
             raise ValueError("log coefficient must be positive")
 
 
-def _self_adjoint_deviation(m: np.ndarray) -> float:
-    """max |m - m^H|, comparing row blocks of the upper triangle with the
-    matching column blocks so that no n x n temporary is formed."""
+def _check_self_adjoint(m: np.ndarray) -> None:
+    """Raise unless m == m^H exactly, comparing row blocks of the upper
+    triangle with the matching column blocks so that no n x n temporary is
+    formed.  A NaN or an infinity anywhere is a SolverError."""
     n = m.shape[0]
     block = max(1, 2**19 // n)
-    dev = 0.0
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
-        diff = m[i0:i1, i0:] - m[i0:, i0:i1].T.conj()
-        dev = max(dev, float(np.abs(diff).max()))
-    return dev
+        rows, cols = m[i0:i1, i0:], m[i0:, i0:i1]
+        # a NaN or an infinity makes dev NaN or infinite, never 0 (inf - inf is NaN)
+        with np.errstate(invalid="ignore"):
+            dev = float(np.abs(rows - cols.T.conj()).max())
+        if dev != 0:
+            if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+                raise SolverError("operator matrix has non-finite entries")
+            raise ValueError(f"matrix deviates from self-adjointness by {dev:g}")
 
 
 @dataclass(frozen=True)
 class AssembledOperator:
-    """Dense self-adjoint matrix discretizing T, with provenance metadata."""
+    """Dense self-adjoint matrix discretizing T, with provenance metadata.
+
+    The matrix must equal its conjugate transpose exactly and be finite.  It
+    is kept as a writable C-contiguous array: the caller's own array where
+    that is one (a read-only one is made writable), else a copy.
+    spectral.eigen_spectrum reduces it in place and restores it, so one
+    operator must not be solved in two threads at once."""
 
     matrix: np.ndarray
     route: str  # fourier | logkernel | logpotential | steklov
@@ -90,10 +101,12 @@ class AssembledOperator:
         m = np.ascontiguousarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError("operator matrix must be square and nonempty")
-        dev = _self_adjoint_deviation(m)
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix deviates from self-adjointness by {dev:g}")
-        m.flags.writeable = False
+        if not m.flags.writeable:
+            try:
+                m.flags.writeable = True
+            except ValueError:
+                m = m.copy()
+        _check_self_adjoint(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -184,7 +197,8 @@ def _toeplitz_compression(
         zero-mode row: a0^2 F(0), sqrt2 a0 a Re F(zeta), -sqrt2 a0 a Im F(zeta)
 
     Rows are filled in blocks with the same arithmetic on both sides of the
-    diagonal, so the result is exactly symmetric.
+    diagonal, and the sc block is the transpose of the cs block, so the
+    result is symmetric bit for bit (signed zeros included).
     """
     strides = np.array([int(np.prod(F.shape[ax + 1 :])) for ax in range(F.ndim)])
     offset = coords @ strides  # flat offset from the centre; its sign is lexicographic
@@ -215,8 +229,9 @@ def _toeplitz_compression(
         aa = a[r0:r1, None] * a
         rows_c, rows_s = slice(z + r0, z + r1), slice(z + p + r0, z + p + r1)
         matrix[rows_c, cols_c] = aa * (re_d + re_s)
-        matrix[rows_c, cols_s] = aa * -(im_d + im_s)
-        matrix[rows_s, cols_c] = aa * (im_d - im_s)
+        cs = aa * -(im_d + im_s)
+        matrix[rows_c, cols_s] = cs
+        matrix[cols_s, rows_c] = cs.T
         matrix[rows_s, cols_s] = aa * (re_d - re_s)
     return matrix
 

@@ -72,19 +72,20 @@ def _lapack_info(info: int, routine: str, n: int) -> None:
         raise SolverError(f"LAPACK {routine} returned info = {info} on a {n} x {n} problem")
 
 
-def _tridiagonalize(m: np.ndarray):
-    """Householder reduction M = Q T Q^H, lower storage (?sytrd / ?hetrd).
+def _tridiagonalize(a: np.ndarray):
+    """Householder reduction A = Q T Q^H, lower storage (?sytrd / ?hetrd),
+    in place when `a` is a Fortran-order array of a LAPACK type.
 
     Returns (c, d, e, tau): T's diagonal d and subdiagonal e, and the
     reflectors H_i = I - tau_i v_i v_i^H with v_i[:i+1] = (0, ..., 0, 1) and
-    v_i[i+2:] = c[i+2:, i].  `c` is LAPACK's Fortran-order copy of M.
+    v_i[i+2:] = c[i+2:, i].  `c` is `a`, overwritten below its diagonal.
     """
-    name = "hetrd" if np.iscomplexobj(m) else "sytrd"
-    trd, trd_lwork = lapack.get_lapack_funcs((name, name + "_lwork"), (m,))
-    n = m.shape[0]
+    name = "hetrd" if np.iscomplexobj(a) else "sytrd"
+    trd, trd_lwork = lapack.get_lapack_funcs((name, name + "_lwork"), (a,))
+    n = a.shape[0]
     work, info = trd_lwork(n, lower=1)
     _lapack_info(info, trd.typecode + name + " workspace query", n)
-    c, d, e, tau, info = trd(m, lower=1, lwork=int(np.real(work)))
+    c, d, e, tau, info = trd(a, lower=1, lwork=int(np.real(work)), overwrite_a=1)
     _lapack_info(info, trd.typecode + name, n)
     return c, d, e, tau
 
@@ -129,6 +130,24 @@ def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray
     return x
 
 
+_RESTORE_ROWS = 16
+
+
+def _restore_upper(m: np.ndarray, diag: np.ndarray) -> None:
+    """Undo a lower-storage reduction of m.T, which overwrites m's diagonal
+    and upper triangle: the upper triangle becomes the conjugate transpose of
+    the untouched strict lower one, and the diagonal `diag`.  Works in blocks
+    of _RESTORE_ROWS rows, so the temporaries stay O(n)."""
+    n = m.shape[0]
+    for i0 in range(0, n, _RESTORE_ROWS):
+        i1 = min(i0 + _RESTORE_ROWS, n)
+        block = m[i0:i1, i0:i1]
+        upper = np.triu_indices(i1 - i0, 1)
+        block[upper] = block.T[upper].conj()
+        m[i0:i1, i1:] = m[i1:, i0:i1].T.conj()
+    np.fill_diagonal(m, diag)
+
+
 def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     """Full dense self-adjoint eigensolve with a residual spot check.
 
@@ -138,19 +157,33 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     again on T by bisection and inverse iteration, back-transformed with the
     reduction's reflectors, and checked against the original matrix:
     ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf agree to 1e-8 ||M||.
+
+    The reduction runs in place on op.matrix, so no second n x n array is
+    formed: LAPACK reduces the Fortran-order view m.T from its lower
+    triangle, which is m's upper triangle, and the reflectors land in m's
+    rows.  On return, and on any error, m is restored from its strict lower
+    triangle and a saved diagonal, which is exact because AssembledOperator
+    holds only exactly self-adjoint matrices.  While the call runs the
+    matrix is overwritten, so two threads must not solve one operator at
+    once.  For complex Hermitian m, m.T is conj(M): T is the same, and the
+    back-transformed vectors are conjugated.
     """
     m = op.matrix
-    if not np.all(np.isfinite(m)):
-        raise SolverError("operator matrix contains non-finite entries")
     n = op.size
-    c, d, e, tau = _tridiagonalize(m)
-    values = _all_eigenvalues(d, e)
-    norm = float(np.abs(values).max(initial=0.0))
+    diag = m.diagonal().copy()
+    try:
+        c, d, e, tau = _tridiagonalize(m.T)
+        values = _all_eigenvalues(d, e)
+        norm = float(np.abs(values).max(initial=0.0))
+        checked = norm > 0 and n >= 2
+        if checked:
+            lo, hi = _residual_block(n, values, RESIDUAL_PAIRS)
+            vals_blk, z = _tridiagonal_pairs(d, e, lo, hi)
+            vecs_blk = _back_transform(c, tau, z).conj()
+    finally:
+        _restore_upper(m, diag)
 
-    if norm > 0 and n >= 2:
-        lo, hi = _residual_block(n, values, RESIDUAL_PAIRS)
-        vals_blk, z = _tridiagonal_pairs(d, e, lo, hi)
-        vecs_blk = _back_transform(c, tau, z)
+    if checked:
         resid = np.linalg.norm(m @ vecs_blk - vecs_blk * vals_blk, axis=0)
         if np.any(resid > RESIDUAL_TOL * norm):
             raise SolverError(

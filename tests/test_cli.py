@@ -2,6 +2,7 @@
 
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,12 @@ MALFORMED = {
     "file_density_without_path": {"scenario": "circle", "density": {"kind": "file"}},
     "analysis_window_fractions": {"scenario": "circle", "analysis": {"window_fractions": [0.1, 0.3]}},
     "fractional_window": {"scenario": "circle", "analysis": {"window": [100.5, 500]}},
+    "word_density_value": {"scenario": "circle", "density": {"kind": "constant", "value": "abc"}},
+    "word_seed": {"scenario": "circle", "seed": "x"},
+    "word_tol": _check_config("circle", {"kind": "dixmier_plateau", "tol": "x"}),
+    "zero_atoms": {"scenario": "circle", "measure": {"params": {"atoms": 0}}},
+    "negative_radius": {"scenario": "circle", "measure": {"params": {"radius": -1.0}}},
+    "negative_depth": {"scenario": "cantor_line", "measure": {"params": {"depth": -1}}},
 }
 
 
@@ -399,6 +406,23 @@ def test_log_potential_route_runs_the_library_assembly(tmp_path):
     assert report.eigen_primary.route == "logpotential"
     assert np.array_equal(report.eigen_primary.positive, direct.positive)
     assert np.array_equal(report.eigen_primary.negative, direct.negative)
+
+
+def test_each_operator_is_freed_before_the_next_is_built(tmp_path, monkeypatch):
+    # the circle's pure_log variant is assembled after the primary operator is garbage
+    assemble, built, alive = operators.assemble_log_kernel, [], []
+
+    def tracked(*args, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        op = assemble(*args, **kwargs)
+        built.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(operators, "assemble_log_kernel", tracked)
+    raw = {"scenario": "circle", "measure": {"params": {"atoms": 200}}, "checks": []}
+    report = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "out")
+    assert alive == [[], [False]]
+    assert set(report.spectral_summary["variants"]) == {"pure_log"}
 
 
 def test_steklov_budget_counts_the_kept_modes(tmp_path):

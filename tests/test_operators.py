@@ -14,6 +14,7 @@ from spectralab.errors import (
     BudgetError,
     DegenerateKernelError,
     NegativeDensityError,
+    SolverError,
     SupportTooLargeError,
 )
 from spectralab.measures import PointCloudMeasure, SignedDensity
@@ -449,6 +450,30 @@ def test_self_adjointness_check_rejects_one_bad_entry():
     h[2, 2] = 1j * 1e-9  # a non-real diagonal entry
     with pytest.raises(ValueError, match="self-adjointness"):
         sl.AssembledOperator(matrix=h, route="fourier")
+
+
+@pytest.mark.parametrize(
+    "upper, lower, error, message",
+    [
+        (1.0, np.nextafter(1.0, 2.0), ValueError, "self-adjointness"),
+        (math.nan, math.nan, SolverError, "non-finite"),
+        (math.inf, math.inf, SolverError, "non-finite"),
+    ],
+    ids=["one_ulp", "nan", "inf_pair"],
+)
+def test_self_adjointness_is_exact_and_finite(upper, lower, error, message):
+    # outside the first row block of the check, as above
+    m = np.zeros((1000, 1000))
+    m[3, 950], m[950, 3] = upper, lower
+    with pytest.raises(error, match=message):
+        sl.AssembledOperator(matrix=m, route="fourier")
+
+
+def test_operator_keeps_the_callers_buffer():
+    m = np.eye(4)
+    m.flags.writeable = False
+    op = sl.AssembledOperator(matrix=m, route="fourier")
+    assert op.matrix is m and op.matrix.flags.writeable
 
 
 # -- export ----------------------------------------------------------------------------

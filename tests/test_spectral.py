@@ -1,6 +1,7 @@
 """Spectral functionals on synthetic sequences with direct-summation oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,8 +166,11 @@ def test_eigen_spectrum_agreement_check_fires(monkeypatch):
         return values
 
     monkeypatch.setattr(spectral, "_all_eigenvalues", corrupted)
+    op = _positive_definite_op()
+    before = op.matrix.tobytes()
     with pytest.raises(SolverError, match="bisection and dsterf"):
-        sl.eigen_spectrum(_positive_definite_op())
+        sl.eigen_spectrum(op)
+    assert op.matrix.tobytes() == before
 
 
 def test_eigen_spectrum_residual_check_fires(monkeypatch):
@@ -181,8 +185,49 @@ def test_eigen_spectrum_residual_check_fires(monkeypatch):
         return c, d, e, tau
 
     monkeypatch.setattr(spectral, "_tridiagonalize", corrupted)
+    op = _positive_definite_op()
+    before = op.matrix.tobytes()
     with pytest.raises(SolverError, match="eigenpair residual"):
-        sl.eigen_spectrum(_positive_definite_op())
+        sl.eigen_spectrum(op)
+    assert op.matrix.tobytes() == before
+
+
+def _half_signed_op():
+    mu, v = measures.builtin_measure("half_signed_circle", {"atoms": 300})
+    return operators.assemble_log_kernel(mu, v, operators.LogKernelSpec("bessel_exact_N2"))
+
+
+def _complex_op():
+    # Hermitian bit for bit: the upper triangle is the conjugate of the lower
+    rng = np.random.default_rng(9)
+    a = np.tril(rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)), -1)
+    return AssembledOperator(matrix=a + a.conj().T + np.diag(rng.standard_normal(200)), route="fourier")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_circle_op, _sphere_op, _half_signed_op, _steklov_op, _complex_op],
+    ids=["circle", "sphere", "half_signed_circle", "steklov", "complex"],
+)
+def test_eigen_spectrum_restores_the_matrix_bit_for_bit(build):
+    # the reduction runs in place on op.matrix and gives it back
+    op = build()
+    before = op.matrix.tobytes()
+    sl.eigen_spectrum(op)
+    assert op.matrix.tobytes() == before
+
+
+def test_eigen_spectrum_forms_no_second_matrix():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((1000, 1000))
+    op = AssembledOperator(matrix=a + a.T, route="logkernel")
+    tracemalloc.start()
+    try:
+        sl.eigen_spectrum(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * op.matrix.nbytes
 
 
 # -- counting -------------------------------------------------------------------
