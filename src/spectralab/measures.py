@@ -726,6 +726,30 @@ BUILTIN_MEASURES = {
 PARAM_MINIMUM = {"atoms": 2, "cells": 1, "depth": 1}
 # Catalog parameters that are lengths, and so must be positive.
 PARAM_LENGTHS = ("radius", "r1", "r2", "length", "side")
+# The number of maps of each self-similar catalog measure: depth d builds
+# maps^d atoms.
+IFS_MAPS = {"cantor_line": 2, "cantor_circle": 2, "steklov_cantor": 2, "sierpinski": 3}
+
+
+def _check_atom_budget(name: str, params: dict) -> None:
+    """ScenarioError if the catalog measure would build more atoms than
+    DEFAULT_ATOM_BUDGET from its full params: `atoms`, plus `cells`^2 for a
+    square grid, plus maps^depth for a self-similar measure."""
+    terms, count = [], 0
+    if "atoms" in params:
+        terms.append(f"{params['atoms']}")
+        count += params["atoms"]
+    if "cells" in params:
+        terms.append(f"{params['cells']}^2")
+        count += params["cells"] ** 2
+    if name in IFS_MAPS:
+        maps, depth = IFS_MAPS[name], params["depth"]
+        terms.append(f"{maps}^{depth}")
+        count += maps ** min(depth, 64)  # 2^64 is past any budget; no huge power
+    if count > DEFAULT_ATOM_BUDGET:
+        raise ScenarioError(
+            f"measure {name!r} would build {' + '.join(terms)} atoms, past the atom budget {DEFAULT_ATOM_BUDGET}"
+        )
 
 
 def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]:
@@ -733,7 +757,8 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
     name is unknown, or if `params` holds a key the builder does not take or
     a value not of its default's type (an integer for an int default, a real
     number for a float one, never a bool), or out of range: a finite real,
-    at least PARAM_MINIMUM, and positive for the PARAM_LENGTHS."""
+    at least PARAM_MINIMUM, and positive for the PARAM_LENGTHS.  So is a
+    measure that would build more atoms than DEFAULT_ATOM_BUDGET."""
     if name not in BUILTIN_MEASURES:
         raise ScenarioError(f"unknown measure {name!r}")
     ambient_dim, build = BUILTIN_MEASURES[name]
@@ -754,6 +779,7 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
             ok, bound = math.isfinite(value), "finite"
         if not ok:
             raise ScenarioError(f"measure {name!r} parameter {key!r} must be {bound}, not {value!r}")
+    _check_atom_budget(name, {key: p.default for key, p in known.items()} | (params or {}))
     return ambient_dim, build
 
 
@@ -771,12 +797,18 @@ def builtin_measure(
 
 # -- serialization -----------------------------------------------------------
 
+# Atom rows that save_measure_text formats at a time.
+TEXT_BLOCK_ROWS = 8192
+
 
 def save_measure_text(
     measure: PointCloudMeasure, path, density: SignedDensity | None = None
 ) -> None:
     """Columnar text format: header `N n_components total_mass`, one line per
-    component `count nominal_dim`, then one line per atom `x1 .. xN w [V]`."""
+    component `count nominal_dim`, then one line per atom `x1 .. xN w [V]`,
+    each value its shortest round-trip repr.  Rows are formatted
+    TEXT_BLOCK_ROWS at a time, so the Python floats alive do not grow with
+    the atom count."""
     if density is not None:
         check_pairing(measure, density)
     with open(path, "w") as f:
@@ -788,12 +820,17 @@ def save_measure_text(
         cols = [*measure.positions.T, measure.weights]
         if density is not None:
             cols.append(density.values)
-        f.writelines(
-            " ".join(row) + "\n" for row in zip(*(map(repr, col.tolist()) for col in cols))
-        )
+        for i0 in range(0, measure.atom_count, TEXT_BLOCK_ROWS):
+            block = (map(repr, col[i0 : i0 + TEXT_BLOCK_ROWS].tolist()) for col in cols)
+            f.writelines(" ".join(row) + "\n" for row in zip(*block))
 
 
 def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
+    """Read the format of save_measure_text.  Every atom row must hold N + 1
+    numbers (coordinates and weight) or N + 2 (and a density value), N the
+    header's dimension; anything else is a ValueError.  The rows are parsed
+    by np.loadtxt, in blocks and correctly rounded, so a round trip is
+    bit-exact."""
     with open(path) as f:
         first = f.readline().split()
         ambient, ncomp = int(first[0]), int(first[1])
@@ -805,9 +842,13 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
             cnt = int(cnt_s)
             comps.append(Component(start, start + cnt, float(dim_s)))
             start += cnt
-        body = f.read()
-    ncols = len(body.lstrip().split("\n", 1)[0].split())
-    data = np.array(body.split(), dtype=float).reshape(-1, ncols)
+        expected = f"{ambient + 1} or {ambient + 2} columns (N = {ambient})"
+        try:
+            data = np.loadtxt(f, dtype=float, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: atom rows must have {expected}: {exc}") from exc
+    if data.shape[1] not in (ambient + 1, ambient + 2):
+        raise ValueError(f"{path}: atom rows must have {expected}, not {data.shape[1]}")
     pos = data[:, :ambient]
     w = data[:, ambient]
     v = SignedDensity(data[:, ambient + 1]) if data.shape[1] > ambient + 1 else None

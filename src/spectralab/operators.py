@@ -40,6 +40,9 @@ from .errors import (
 from .measures import PointCloudMeasure, SignedDensity, check_pairing
 
 DEFAULT_MATRIX_BUDGET = 12_000
+# Entries of the per-axis exponential factors of one atom chunk of the
+# Fourier coefficient sum (2^16 complex entries: 1 MB).
+FOURIER_CHUNK_ELEMENTS = 2**16
 EULER_GAMMA = float(np.euler_gamma)
 
 
@@ -137,35 +140,45 @@ def fourier_mode_count(K: int, n_dim: int, matrix_budget: int = DEFAULT_MATRIX_B
     return modes
 
 
+def _chunk_coefficients(
+    rows: list[np.ndarray], pos: np.ndarray, w: np.ndarray, L: float
+) -> np.ndarray:
+    """sum_i w_i prod_ax exp(2 pi i eta_ax X_i,ax / L) over one chunk of atoms,
+    for eta on the grid rows[0] x rows[1] x ...  Each per-axis factor is
+    exponentiated in place, and all are freed on return."""
+    factors = []
+    for ax, r in enumerate(rows):
+        phase = 2j * math.pi / L * np.outer(r, pos[:, ax])
+        factors.append(np.exp(phase, out=phase))
+    factors[0] *= w
+    if len(rows) == 1:
+        # numpy's pairwise sum: on the 400-atom circle F(0) is off by
+        # 2e-16 relative, against 4e-15 through a gemv
+        return factors[0].sum(axis=1)
+    if len(rows) == 2:
+        return factors[0] @ factors[1].T
+    letters = "abcdef"[: len(rows)]
+    return np.einsum(",".join(f"{c}i" for c in letters) + "->" + letters, *factors)
+
+
 def _fourier_coefficients(
     positions: np.ndarray, wv: np.ndarray, L: float, K: int
 ) -> np.ndarray:
     """F(eta) = L^{-N} sum_i wv_i exp(2 pi i eta . X_i / L) for |eta|_inf <= 2K.
 
     Returned as an N-d array centred at eta = 0.  Only the half eta_0 <= 0 is
-    summed (per-axis factors, atoms in chunks to bound the temporaries); the
-    rest is its mirror image, so F(-eta) = conj F(eta) holds exactly.
+    summed (per-axis factors); the rest is its mirror image, so
+    F(-eta) = conj F(eta) holds exactly.  The atoms are summed in chunks
+    whose factors hold about FOURIER_CHUNK_ELEMENTS entries in all, so the
+    working set does not grow with the atom count.
     """
     n_atoms, n_dim = positions.shape
     diff = np.arange(-2 * K, 2 * K + 1)
     rows = [diff[: 2 * K + 1]] + [diff] * (n_dim - 1)
     half = np.zeros(tuple(len(r) for r in rows), dtype=complex)
-    chunk = max(1, 2**20 // sum(len(r) for r in rows))
+    chunk = max(1, FOURIER_CHUNK_ELEMENTS // sum(len(r) for r in rows))
     for i0 in range(0, n_atoms, chunk):
-        pos, w = positions[i0 : i0 + chunk], wv[i0 : i0 + chunk]
-        factors = [
-            np.exp(2j * math.pi / L * np.outer(r, pos[:, ax])) for ax, r in enumerate(rows)
-        ]
-        if n_dim == 1:
-            # numpy's pairwise sum: on the 400-atom circle F(0) is off by
-            # 2e-16 relative, against 4e-15 through a gemv
-            half += (factors[0] * w).sum(axis=1)
-        elif n_dim == 2:
-            half += (factors[0] * w) @ factors[1].T
-        else:
-            letters = "abcdef"[:n_dim]
-            spec = ",".join(f"{c}i" for c in letters) + ",i->" + letters
-            half += np.einsum(spec, *factors, w)
+        half += _chunk_coefficients(rows, positions[i0 : i0 + chunk], wv[i0 : i0 + chunk], L)
     half /= L**n_dim
 
     # In C order the flat index of -eta is size - 1 - index(eta), and the

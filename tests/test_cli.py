@@ -340,6 +340,8 @@ MALFORMED = {
     "zero_atoms": {"scenario": "circle", "measure": {"params": {"atoms": 0}}},
     "negative_radius": {"scenario": "circle", "measure": {"params": {"radius": -1.0}}},
     "negative_depth": {"scenario": "cantor_line", "measure": {"params": {"depth": -1}}},
+    "ifs_depth_past_atom_budget": {"scenario": "cantor_line", "measure": {"params": {"depth": 30}}},
+    "atom_count_past_atom_budget": {"scenario": "circle", "measure": {"params": {"atoms": 1_000_000_000}}},
 }
 
 
@@ -378,6 +380,22 @@ def test_every_scenario_and_config_validates():
         ExperimentConfig.from_dict({"scenario": name})
     for path in sorted(CONFIGS.glob("*.json")):
         assert main(["validate", str(path)]) == 0, path
+
+
+@pytest.mark.parametrize(
+    "operator", [{"route": "steklov", "K": 16, "zero_mode": "drop"}, {"route": "fourier", "L": 8.0, "K": 6}]
+)
+def test_80k_atom_cloud_configs_validate(operator):
+    scenario = "steklov_lebesgue" if operator["route"] == "steklov" else "circle_fourier"
+    ExperimentConfig.from_dict({
+        "scenario": scenario,
+        "measure": {"params": {"atoms": 80_000, "radius": 1.1, "cx": 0.2, "cy": -0.3}},
+        "density": {"kind": "expression", "expr": "1 + 0.5 * np.sin(x)"},
+        "operator": operator,
+        "compare": None,
+        "variants": [],
+        "checks": [],
+    })
 
 
 def test_density_file_of_wrong_length_is_config_error(tmp_path):

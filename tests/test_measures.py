@@ -3,10 +3,15 @@
 import inspect
 import math
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import spectralab as sl
 from spectralab.errors import (
@@ -18,7 +23,7 @@ from spectralab.errors import (
     ResolutionError,
     ScenarioError,
 )
-from spectralab.measures import Component, diameter, nearest_neighbor_spacing
+from spectralab.measures import Component, SignedDensity, diameter, nearest_neighbor_spacing
 
 LN2_LN3 = math.log(2) / math.log(3)
 
@@ -229,6 +234,37 @@ def test_builtin_unknown_parameter_is_scenario_error():
         sl.builtin_measure("circle", {"atom": 200})
     with pytest.raises(ScenarioError, match="no parameter 'atoms'"):
         sl.measures.catalog_entry("cantor_line", {"atoms": 200})
+
+
+@pytest.mark.parametrize(
+    "name, params, count",
+    [
+        ("circle", {"atoms": 10**9}, "1000000000"),
+        ("circle_plus_square", {"cells": 445}, "2000 + 445^2"),
+        ("cantor_line", {"depth": 30}, "2^30"),
+        ("cantor_circle", {"depth": 18}, "2^18"),
+        ("steklov_cantor", {"depth": 10**12}, "2^1000000000000"),
+        ("sierpinski", {"depth": 12}, "3^12"),
+    ],
+    ids=["atoms", "atoms_plus_cells_squared", "cantor_line", "cantor_circle", "steklov_cantor", "sierpinski"],
+)
+def test_catalog_entry_rejects_a_measure_past_the_atom_budget(name, params, count):
+    with pytest.raises(ScenarioError, match=re.escape(f"would build {count} atoms, past the atom budget 200000")):
+        sl.measures.catalog_entry(name, params)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("circle", {"atoms": sl.measures.DEFAULT_ATOM_BUDGET}),
+        ("circle", {"atoms": 80_000}),
+        ("circle_plus_square", {"cells": 444}),  # 2000 + 197136 atoms
+        ("cantor_line", {"depth": 17}),
+        ("sierpinski", {"depth": 11}),  # 177147 atoms
+    ],
+)
+def test_catalog_entry_accepts_a_measure_within_the_atom_budget(name, params):
+    sl.measures.catalog_entry(name, params)
 
 
 def test_readme_catalog_table_matches_the_builders():
@@ -482,6 +518,98 @@ def test_measure_text_round_trip(tmp_path):
     assert [c.nominal_dim for c in back.components] == [
         c.nominal_dim for c in mu.components
     ]
+
+
+def _old_measure_text(mu, v):
+    """The text the row-at-once writer produced: one repr per value."""
+    lines = [f"{mu.ambient_dim} {len(mu.components)} {mu.total_mass!r}\n"]
+    lines += [f"{c.stop - c.start} {c.nominal_dim!r}\n" for c in mu.components]
+    table = np.column_stack([mu.positions, mu.weights, v.values])
+    lines += [" ".join(map(repr, row)) + "\n" for row in table.tolist()]
+    return "".join(lines)
+
+
+def test_measure_text_bytes_match_one_repr_per_value(tmp_path):
+    # more atoms than two write blocks, and not a multiple of the block
+    mu, _ = sl.builtin_measure("circle_plus_square", {"atoms": 7, "cells": 130})
+    assert mu.atom_count > 2 * sl.measures.TEXT_BLOCK_ROWS
+    assert mu.atom_count % sl.measures.TEXT_BLOCK_ROWS
+    v = SignedDensity(np.cos(np.arange(mu.atom_count)))
+    path = tmp_path / "m.txt"
+    sl.save_measure_text(mu, path, v)
+    assert path.read_text() == _old_measure_text(mu, v)
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        ("0.5 0.25 1.0 1.0 7.0\n0.5 -0.25 1.0 1.0 7.0\n", "not 5"),
+        ("0.5 1.0\n-0.5 1.0\n", "not 2"),
+        ("0.5 0.25 1.0\n0.5 -0.25 1.0 1.0 7.0\n", "number of columns changed"),
+        ("0.5 0.25 1.0\n0.5 # 1.0\n", "could not convert string '#'"),
+    ],
+    ids=["five_columns", "two_columns", "ragged", "hash_token"],
+)
+def test_measure_text_reader_rejects_wrong_columns(tmp_path, rows, problem):
+    path = tmp_path / "m.txt"
+    path.write_text("2 1 2.0\n2 1.0\n" + rows)
+    with pytest.raises(ValueError, match=r"atom rows must have 3 or 4 columns \(N = 2\).*" + problem):
+        sl.load_measure_text(path)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_text_io_working_set_is_bounded(tmp_path):
+    mu, v = sl.builtin_measure("circle", {"atoms": 80_000})
+    path = tmp_path / "m.txt"
+    assert _peak_bytes(sl.save_measure_text, mu, path, v) < 4e6
+    assert _peak_bytes(sl.load_measure_text, path) < 8e6
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_VALUES = [-0.0, 5e-324, 2.5e-310, 1e-5, 0.1, 1e16, sys.float_info.max, -sys.float_info.max]
+
+
+@st.composite
+def text_measures(draw):
+    """(positions, weights, density or None) over finite doubles."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=30))
+    positions = draw(hnp.arrays(float, (n, dim), elements=finite))
+    # bounded so that the weight sum, the declared total mass, stays finite
+    weights = draw(hnp.arrays(float, n, elements=st.floats(min_value=0.0, max_value=1e300)))
+    density = draw(st.none() | hnp.arrays(float, n, elements=finite))
+    return positions, weights, density
+
+
+@settings(max_examples=60, deadline=None)
+@given(text_measures())
+@example((np.array([EDGE_VALUES]).T, np.array([0.0, 5e-324, 2.5e-310, 1e-5, 0.1, 1e16, 1e300, -0.0]),
+          np.array(EDGE_VALUES[::-1])))
+@example((np.array([EDGE_VALUES[:3]]), np.array([sys.float_info.max]), None))
+@example((np.array([EDGE_VALUES[3:6], EDGE_VALUES[5:]]), np.array([5e-324, 1e-5]), np.array([-0.0, 1e16])))
+def test_measure_text_round_trip_is_bit_exact(tmp_path_factory, case):
+    positions, weights, density = case
+    mu = sl.PointCloudMeasure.from_atoms(positions, weights, 1.0)
+    v = None if density is None else SignedDensity(density)
+    path = tmp_path_factory.mktemp("text") / "m.txt"
+    sl.save_measure_text(mu, path, v)
+    back, vback = sl.load_measure_text(path)
+    assert back.positions.shape == mu.positions.shape
+    assert back.positions.tobytes() == mu.positions.tobytes()
+    assert back.weights.tobytes() == mu.weights.tobytes()
+    assert repr(back.total_mass) == repr(mu.total_mass)
+    if v is None:
+        assert vback is None
+    else:
+        assert vback.values.tobytes() == v.values.tobytes()
 
 
 def test_nn_spacing_circle():

@@ -3,6 +3,7 @@ structural invariants, binary round trip."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spectralab.errors import (
     SupportTooLargeError,
 )
 from spectralab.measures import PointCloudMeasure, SignedDensity
+from spectralab.operators import FOURIER_CHUNK_ELEMENTS, _fourier_coefficients, circle_angles
 from spectralab.orlicz import luxemburg_norm
 
 
@@ -502,3 +504,48 @@ def test_operator_binary_round_trip_complex(tmp_path):
     assert np.array_equal(back.matrix, op.matrix)
     assert back.route == "steklov"
     assert back.metadata == {"cutoff": 12}
+
+
+# -- Fourier coefficient sums ------------------------------------------------------
+
+
+def _reference_coefficients(positions, wv, L, K):
+    # one atom at a time over the whole difference grid |eta|_inf <= 2K
+    n_dim = positions.shape[1]
+    axes = np.meshgrid(*[np.arange(-2 * K, 2 * K + 1)] * n_dim, indexing="ij")
+    eta = np.stack([m.ravel() for m in axes], axis=-1)
+    total = np.zeros(len(eta), dtype=complex)
+    for x, w in zip(positions, wv):
+        total += w * np.exp(2j * math.pi / L * (eta @ x))
+    return (total / L**n_dim).reshape(axes[0].shape)
+
+
+@pytest.mark.parametrize("chunks", ["below_one_chunk", "ragged_chunks"])
+@pytest.mark.parametrize("n_dim, K", [(1, 8), (2, 5), (3, 2)], ids=["1d", "2d", "3d"])
+def test_fourier_coefficients_match_the_per_atom_sum(n_dim, K, chunks):
+    chunk = FOURIER_CHUNK_ELEMENTS // ((2 * K + 1) + (n_dim - 1) * (4 * K + 1))
+    n = chunk // 2 if chunks == "below_one_chunk" else 2 * chunk + 7
+    rng = np.random.default_rng(n)
+    mu, v = _signed_cloud(rng, n, n_dim, 1.5)
+    wv = mu.weights * v.values
+    F = _fourier_coefficients(mu.positions, wv, 4.0, K)
+    ref = _reference_coefficients(mu.positions, wv, 4.0, K)
+    assert np.abs(F - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(np.flip(F), F.conj())
+
+
+@pytest.mark.parametrize("route", ["fourier-2d", "steklov"])
+def test_fourier_coefficients_working_set_is_bounded(route):
+    mu, _ = sl.builtin_measure("circle", {"atoms": 80_000})
+    if route == "fourier-2d":
+        positions, L, K = mu.positions, 8.0, 6
+    else:
+        positions, L, K = circle_angles(mu)[:, None], 2 * math.pi, 16
+    wv = mu.weights * 1.0
+    tracemalloc.start()
+    try:
+        _fourier_coefficients(positions, wv, L, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -1,7 +1,11 @@
-"""Property tests of the ball statistics: permutation invariance,
-monotonicity in the radius, and additivity over unions."""
+"""Property tests of the ball statistics (permutation invariance,
+monotonicity in the radius, additivity over unions) and of the operator
+routes (scaling of the spectrum with the measure)."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +84,29 @@ def test_ball_mass_additive_over_disjoint_union(cloud, m):
             rtol=ROUNDING,
             atol=0.0,
         )
+
+
+def _route_operator(route, mu, v):
+    if route == "logkernel":
+        return sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
+    if route == "fourier":
+        return sl.assemble_fourier_bs(mu, v, L=8.0, K=5)
+    return sl.assemble_steklov_circle(mu, v, K=20, zero_mode="drop")
+
+
+@pytest.mark.parametrize("route", ["logkernel", "fourier", "steklov"])
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+@settings(max_examples=12, deadline=None)
+@given(c=st.floats(min_value=1e-3, max_value=1e3))
+def test_scaling_the_measure_scales_every_eigenvalue(route, signed, c):
+    # T is linear in the measure: mu -> c mu multiplies the operator, and so
+    # every eigenvalue, by c
+    theta = 2 * math.pi * (np.arange(300) + 0.5) / 300
+    positions = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    weights = np.random.default_rng(7).uniform(0.5, 1.5, 300) * 2 * math.pi / 300
+    v = sl.SignedDensity(np.cos(theta) + (0.3 if signed else 1.5))
+    mu = sl.PointCloudMeasure.from_atoms(positions, weights, 1.0)
+    scaled = sl.PointCloudMeasure.from_atoms(positions, c * weights, 1.0)
+    base = np.linalg.eigvalsh(_route_operator(route, mu, v).matrix)
+    got = np.linalg.eigvalsh(_route_operator(route, scaled, v).matrix)
+    assert np.abs(got - c * base).max() <= 1e-12 * c * np.abs(base).max()
