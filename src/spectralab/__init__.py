@@ -39,14 +39,8 @@ _EXPORTS = {
     "OrliczNormResult": "orlicz",
     # coeffs
     "sphere_area": "coeffs",
-    "weyl_ac_coefficient": "coeffs",
-    "weyl_surface_coefficient": "coeffs",
-    "fiber_symbol_r": "coeffs",
-    "rho_density": "coeffs",
+    "weyl_coefficient": "coeffs",
     "predicted_trace": "coeffs",
-    "flagship_symbol": "coeffs",
-    "SymbolDescriptor": "coeffs",
-    "AsymptoticCoefficient": "coeffs",
     "TracePrediction": "coeffs",
     # operators
     "AssembledOperator": "operators",

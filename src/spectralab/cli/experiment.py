@@ -376,9 +376,8 @@ class ExperimentReport:
 def _prediction_summary(mu, v, mode: str) -> dict:
     """The predicted trace, or {"available": False, "reason": ...} when no
     asymptotic prediction exists (non-integer component dimensions)."""
-    symbol = coeffs.flagship_symbol(mu.ambient_dim)
     try:
-        pred = coeffs.predicted_trace(mu, v, symbol, mode=mode)
+        pred = coeffs.predicted_trace(mu, v, mode=mode)
     except PredictionUnavailableError as exc:
         return {"available": False, "reason": str(exc)}
     return {
@@ -506,9 +505,9 @@ def _plateau_ratio_mass(check: dict, report) -> dict:
     _prediction(check, report)
     ratio = _summary_value(report, "plateau_plus")["plateau"] / report.measure["total_mass"]
     d = int(round(report.measure["components"][0]["nominal_dim"]))
-    codim = report.measure["ambient_dim"] - d
-    z_cal = coeffs.weyl_surface_coefficient(d, codim, "calibrated").value
-    z_printed = coeffs.weyl_surface_coefficient(d, codim, "printed").value
+    n = report.measure["ambient_dim"]
+    z_cal = coeffs.weyl_coefficient(d, n, "calibrated")
+    z_printed = coeffs.weyl_coefficient(d, n, "printed")
     graded = _graded(ratio, z_cal, check["tol"])
     rel_printed = abs(ratio / z_printed - 1.0)
     passed = graded.pop("pass") and rel_printed > check["tol"]

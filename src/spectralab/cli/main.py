@@ -63,13 +63,12 @@ def main(argv=None) -> int:
         ConfigError,
         DegenerateKernelError,
         EvaluationError,
-        QuadratureError,
         SaturationError,
         SolverError,
         SpectraLabError,
     )
 
-    numerical = (SolverError, QuadratureError, SaturationError, DegenerateKernelError, EvaluationError)
+    numerical = (SolverError, SaturationError, DegenerateKernelError, EvaluationError)
 
     try:
         if args.command == "list-scenarios":
@@ -82,11 +81,12 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "coeffs-table":
-            from ..coeffs import coefficient_csv, write_coefficient_csv
+            from ..coeffs import coefficient_csv
 
             pairs = sorted((d, n - d) for n in range(2, args.max_dim + 1) for d in range(1, n))
             if args.file:
-                write_coefficient_csv(args.file, pairs)
+                with open(args.file, "w") as f:
+                    f.write(coefficient_csv(pairs))
                 print(f"wrote {args.file}")
             else:
                 print(coefficient_csv(pairs), end="")

@@ -49,10 +49,6 @@ class NegativeDensityError(SpectraLabError):
     """Operator route requires a nonnegative density; use the sign-framed route."""
 
 
-class QuadratureError(SpectraLabError):
-    """Adaptive quadrature failed to converge within its budget."""
-
-
 class PredictionUnavailableError(SpectraLabError):
     """Trace prediction requested for a component of non-integer dimension."""
 

@@ -830,7 +830,8 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
     numbers (coordinates and weight) or N + 2 (and a density value), N the
     header's dimension; anything else is a ValueError.  The rows are parsed
     by np.loadtxt, in blocks and correctly rounded, so a round trip is
-    bit-exact."""
+    bit-exact.  A header that declares no atoms reads back as the empty
+    measure, without a density."""
     with open(path) as f:
         first = f.readline().split()
         ambient, ncomp = int(first[0]), int(first[1])
@@ -843,10 +844,15 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
             comps.append(Component(start, start + cnt, float(dim_s)))
             start += cnt
         expected = f"{ambient + 1} or {ambient + 2} columns (N = {ambient})"
-        try:
-            data = np.loadtxt(f, dtype=float, ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ValueError(f"{path}: atom rows must have {expected}: {exc}") from exc
+        if start == 0:
+            if f.read().strip():
+                raise ValueError(f"{path}: the header declares 0 atoms, but atom rows follow")
+            data = np.zeros((0, ambient + 1))
+        else:
+            try:
+                data = np.loadtxt(f, dtype=float, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ValueError(f"{path}: atom rows must have {expected}: {exc}") from exc
     if data.shape[1] not in (ambient + 1, ambient + 2):
         raise ValueError(f"{path}: atom rows must have {expected}, not {data.shape[1]}")
     pos = data[:, :ambient]

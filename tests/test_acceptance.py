@@ -63,7 +63,7 @@ def circle_fourier():
 def test_criterion_01_circle_weyl_law(circle_log):
     mu, v, rep, elapsed = circle_log
     fit = sl.weyl_plateau(rep, window=(100, 500))
-    predicted = sl.weyl_surface_coefficient(1, 1, "calibrated").value * mu.total_mass
+    predicted = sl.weyl_coefficient(1, 2, "calibrated") * mu.total_mass
     rel = _rel(fit.plateau, 1.0)
     ok = rel <= 0.05 and _rel(predicted, 1.0) < 1e-3 and elapsed < 120
     _line(1, ok, f"plateau[100,500]={fit.plateau:.4f} vs 1.0 (rel {rel:.3f}, "
@@ -97,8 +97,8 @@ def test_criterion_02_route_agreement(circle_fourier, circle_log):
 
 def test_criterion_03_coefficient_calibration(circle_log):
     mu, v, rep, _ = circle_log
-    z_printed = sl.weyl_surface_coefficient(1, 1, "printed").value
-    z_cal = sl.weyl_surface_coefficient(1, 1, "calibrated").value
+    z_printed = sl.weyl_coefficient(1, 2, "printed")
+    z_cal = sl.weyl_coefficient(1, 2, "calibrated")
     closed_forms = abs(z_printed - 1.0) < 1e-12 and abs(z_cal - 1 / (2 * math.pi)) < 1e-12
     fit = sl.weyl_plateau(rep, window=(100, 500))
     ratio = fit.plateau / mu.total_mass
@@ -118,7 +118,7 @@ def test_criterion_04_segment():
         sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
     )
     fit = sl.weyl_plateau(rep)
-    predicted = sl.weyl_surface_coefficient(1, 1, "calibrated").value * mu.total_mass
+    predicted = sl.weyl_coefficient(1, 2, "calibrated") * mu.total_mass
     rel = _rel(fit.plateau, predicted)
     ok = rel <= 0.10
     _line(4, ok, f"plateau={fit.plateau:.5f} vs 1/(2 pi)={predicted:.5f} "
@@ -134,7 +134,7 @@ def test_criterion_05_two_circle_additivity():
         sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
     )
     fit = sl.weyl_plateau(rep)
-    predicted = sl.weyl_surface_coefficient(1, 1, "calibrated").value * mu.total_mass
+    predicted = sl.weyl_coefficient(1, 2, "calibrated") * mu.total_mass
     rel = _rel(fit.plateau, predicted)
     ok = rel <= 0.10 and abs(predicted - 1.5) < 1e-3
     _line(5, ok, f"plateau={fit.plateau:.4f} vs Z_cal*3pi={predicted:.4f} "
@@ -164,7 +164,7 @@ def test_criterion_07_mixed_dimensions():
     rep = sl.eigen_spectrum(op)
     fit = sl.weyl_plateau(rep, window=(2, 16))
     predicted = 1.0 + 1.0 / (4 * math.pi)
-    pred_api = sl.predicted_trace(mu, v, sl.flagship_symbol(2), "calibrated").a_plus
+    pred_api = sl.predicted_trace(mu, v, "calibrated").a_plus
     rel = _rel(fit.plateau, predicted)
     ok = rel <= 0.12 and abs(pred_api - predicted) < 2e-3
     _line(7, ok, f"plateau[2,16]={fit.plateau:.4f} vs 1+varpi_2={predicted:.4f} "
@@ -335,7 +335,7 @@ def test_criterion_12_sphere_stretch():
     rep = sl.eigen_spectrum(op)
     elapsed = time.perf_counter() - t0
     fit = sl.weyl_plateau(rep)
-    predicted = sl.weyl_surface_coefficient(2, 1, "calibrated").value * mu.total_mass
+    predicted = sl.weyl_coefficient(2, 3, "calibrated") * mu.total_mass
     rel = _rel(fit.plateau, predicted)
     ok = rel <= 0.15 and elapsed < 900 and abs(predicted - 1 / math.pi) < 1e-3
     _line(12, ok, f"plateau={fit.plateau:.4f} vs Z_cal(2,1)*4pi={predicted:.4f} "

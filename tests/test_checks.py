@@ -9,7 +9,7 @@ import pytest
 from spectralab import measures, orlicz, spectral
 from spectralab.cli import experiment
 from spectralab.cli.experiment import ExperimentConfig, run_experiment
-from spectralab.coeffs import weyl_surface_coefficient
+from spectralab.coeffs import weyl_coefficient
 
 KINDS = {
     "plateau",
@@ -134,8 +134,8 @@ def _oracle(check, report) -> dict:
         entry.update(graded(fit.plateau, target), window=list(fit.window), dispersion=fit.dispersion)
     elif kind == "plateau_ratio_mass":
         d = int(round(mu.components[0].nominal_dim))
-        z_cal = weyl_surface_coefficient(d, mu.ambient_dim - d, "calibrated").value
-        z_printed = weyl_surface_coefficient(d, mu.ambient_dim - d, "printed").value
+        z_cal = weyl_coefficient(d, mu.ambient_dim, "calibrated")
+        z_printed = weyl_coefficient(d, mu.ambient_dim, "printed")
         ratio = plateau(primary).plateau / mu.total_mass
         rel_printed = abs(ratio / z_printed - 1.0)
         entry.update(graded(ratio, z_cal), rejected=z_printed, rel_error_printed=rel_printed)

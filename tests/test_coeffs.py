@@ -1,14 +1,19 @@
-"""Closed-form coefficients, fiber/cosphere quadrature, trace predictions."""
+"""The Weyl coefficient formula, its closed values, and trace predictions."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import beta
 
 import spectralab as sl
-from spectralab.coeffs import fiber_symbol_closed_form
+from spectralab.coeffs import coefficient_csv
 from spectralab.errors import PredictionUnavailableError
 from spectralab.measures import SignedDensity
+
+MODES = ("printed", "calibrated")
+SURFACE_PAIRS = [(d, n) for n in range(2, 7) for d in range(1, n)]
 
 
 def test_sphere_areas():
@@ -17,147 +22,88 @@ def test_sphere_areas():
     assert sl.sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
 
 
+def _beta_form(d, n, mode):
+    """The surface constant as the source formula displays it:
+    omega_{q-1} omega_{d-1} B(d/2, q/2) / (2 d (2 pi)^q), q = n - d, divided
+    by (2 pi)^d in the calibrated mode."""
+    q = n - d
+    value = sl.sphere_area(q) * sl.sphere_area(d) * beta(d / 2, q / 2) / (2 * d * (2 * math.pi) ** q)
+    return value if mode == "printed" else value / (2 * math.pi) ** d
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d, n", SURFACE_PAIRS, ids=[f"d{d}-N{n}" for d, n in SURFACE_PAIRS])
+def test_weyl_coefficient_matches_the_beta_form(d, n, mode):
+    assert sl.weyl_coefficient(d, n, mode) == pytest.approx(_beta_form(d, n, mode), rel=1e-14)
+
+
 def test_ac_coefficients():
-    assert sl.weyl_ac_coefficient(1).value == pytest.approx(1 / math.pi, rel=1e-13)
-    assert sl.weyl_ac_coefficient(2).value == pytest.approx(1 / (4 * math.pi), rel=1e-13)
-    assert sl.weyl_ac_coefficient(3).value == pytest.approx(1 / (6 * math.pi**2), rel=1e-13)
+    for mode in MODES:
+        assert sl.weyl_coefficient(1, 1, mode) == pytest.approx(1 / math.pi, rel=1e-14)
+        assert sl.weyl_coefficient(2, 2, mode) == pytest.approx(1 / (4 * math.pi), rel=1e-14)
+        assert sl.weyl_coefficient(3, 3, mode) == pytest.approx(1 / (6 * math.pi**2), rel=1e-14)
 
 
 def test_surface_coefficient_modes():
-    assert sl.weyl_surface_coefficient(1, 1, "printed").value == pytest.approx(1.0, rel=1e-12)
-    assert sl.weyl_surface_coefficient(1, 1, "calibrated").value == pytest.approx(
-        1 / (2 * math.pi), rel=1e-12
-    )
-    assert sl.weyl_surface_coefficient(2, 1, "calibrated").value == pytest.approx(
-        1 / (4 * math.pi**2), rel=1e-12
-    )
+    # Z(1, 1) and Z(2, 1) in (dimension, codimension): a curve in the plane
+    # and a surface in space
+    assert sl.weyl_coefficient(1, 2, "printed") == 1.0
+    assert sl.weyl_coefficient(1, 2, "calibrated") == pytest.approx(1 / (2 * math.pi), rel=1e-14)
+    assert sl.weyl_coefficient(2, 3, "calibrated") == pytest.approx(1 / (4 * math.pi**2), rel=1e-14)
 
 
 def test_calibrated_matches_ac_limit():
-    # as codim -> 0 the surface constant must approach the a.c. constant;
-    # algebraically Z_cal(N - eps) -> varpi_N, checked here at small codim via
-    # the printed formula structure: omega_{codim-1} B(d/2, codim/2) -> 2.
-    for n in (2, 3, 4):
-        z = sl.weyl_surface_coefficient(n - 1, 1, "calibrated").value
-        assert z > 0  # existence; the exact limit needs non-integer codim
-    # the d = N coefficient used by predictions is exactly varpi_N
-    assert sl.weyl_ac_coefficient(2).value == pytest.approx(1 / (4 * math.pi), rel=1e-14)
+    # at d = N both modes give the absolutely continuous constant
+    # omega_{N-1} / (N (2 pi)^N), bit for bit
+    for n in range(1, 7):
+        ac = sl.sphere_area(n) / (n * (2.0 * math.pi) ** n)
+        assert sl.weyl_coefficient(n, n, "printed") == ac
+        assert sl.weyl_coefficient(n, n, "calibrated") == ac
 
 
 def test_printed_symmetry_identity():
     # from the printed formula: Z(d, q) d (2 pi)^q is symmetric in (d, q),
-    # so Z(d, q) d = Z(q, d) q (2 pi)^(d - q)
+    # so Z(d, q) d = Z(q, d) q (2 pi)^(d - q), with N = d + q
     for d, q in [(1, 2), (1, 3), (2, 3), (2, 5)]:
-        lhs = sl.weyl_surface_coefficient(d, q, "printed").value * d
-        rhs = (
-            sl.weyl_surface_coefficient(q, d, "printed").value
-            * q
-            * (2 * math.pi) ** (d - q)
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        lhs = sl.weyl_coefficient(d, d + q, "printed") * d
+        rhs = sl.weyl_coefficient(q, d + q, "printed") * q * (2 * math.pi) ** (d - q)
+        assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
-# -- fiber symbol -----------------------------------------------------------------
-
-
-def _frames_2d():
-    tangent = np.array([[1.0, 0.0]])
-    normal = np.array([[0.0, 1.0]])
-    return tangent, normal
-
-
-def test_fiber_symbol_flagship_d1_codim1():
-    sym = sl.flagship_symbol(2)
-    t, n = _frames_2d()
-    got = sl.fiber_symbol_r(sym, np.zeros(2), t, n, np.array([1.0]))
-    assert got == pytest.approx(0.5, abs=1e-5)
-    assert got == pytest.approx(fiber_symbol_closed_form(1, 1), rel=1e-5)
-
-
-def test_fiber_symbol_homogeneity():
-    sym = sl.flagship_symbol(2)
-    t, n = _frames_2d()
-    base = sl.fiber_symbol_r(sym, np.zeros(2), t, n, np.array([1.0]))
-    for scale in (0.5, 2.0, 10.0):
-        got = sl.fiber_symbol_r(sym, np.zeros(2), t, n, np.array([scale]))
-        assert got == pytest.approx(base * scale**-1.0, rel=1e-5)
-
-
-def test_fiber_symbol_anisotropic_against_trapezoid():
-    # a(Xi) = (xi^2 + 2 eta^2)^(-1/2) in the plane; |a|^2 integrates in closed
-    # form, but the oracle here is a raw trapezoid sum.
-    def evaluate(x, xi):
-        return float((xi[0] ** 2 + 2.0 * xi[1] ** 2) ** -0.5)
-
-    sym = sl.SymbolDescriptor(ambient_dim=2, evaluate=evaluate, flagship=False)
-    t, n = _frames_2d()
-    got = sl.fiber_symbol_r(sym, np.zeros(2), t, n, np.array([1.0]))
-    eta = np.linspace(-400.0, 400.0, 2_000_001)
-    bulk = np.trapezoid((1.0 + 2.0 * eta**2) ** -1.0, eta)
-    tail = 2.0 / math.sqrt(2.0) * (math.pi / 2 - math.atan(math.sqrt(2.0) * 400.0))
-    oracle = (bulk + tail) / (2 * math.pi)
-    assert got == pytest.approx(oracle, rel=1e-4)
-
-
-def test_fiber_symbol_sphere_frame():
-    # flagship in R^3 with d = 2, codim = 1 at a sphere point
-    sym = sl.flagship_symbol(3)
-    t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    n = np.array([[0.0, 0.0, 1.0]])
-    got = sl.fiber_symbol_r(sym, np.zeros(3), t, n, np.array([1.0, 0.0]))
-    assert got == pytest.approx(fiber_symbol_closed_form(2, 1), rel=1e-5)
-
-
-def test_rho_density_two_point_cosphere():
-    sym = sl.flagship_symbol(2)
-    t, n = _frames_2d()
-    rho = sl.rho_density(sym, np.zeros(2), t, n)
-    assert rho == pytest.approx(1.0, abs=1e-4)
-
-
-def test_rho_density_isotropic_d2():
-    sym = sl.flagship_symbol(3)
-    t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    n = np.array([[0.0, 0.0, 1.0]])
-    rho = sl.rho_density(sym, np.zeros(3), t, n)
-    expected = 2 * math.pi * fiber_symbol_closed_form(2, 1)
-    assert rho == pytest.approx(expected, rel=1e-4)
-
-
-def test_rho_positive():
-    sym = sl.flagship_symbol(2)
-    t, n = _frames_2d()
-    assert sl.rho_density(sym, np.zeros(2), t, n) > 0
+def test_weyl_coefficient_rejects_bad_input():
+    with pytest.raises(ValueError, match="positive"):
+        sl.weyl_coefficient(0, 2)
+    with pytest.raises(ValueError, match="exceeds the ambient dimension"):
+        sl.weyl_coefficient(3, 2)
+    with pytest.raises(ValueError, match="unknown coefficient mode"):
+        sl.weyl_coefficient(1, 2, "raw")
 
 
 def test_dimensional_consistency_quadrature_vs_closed_form():
-    # rho / (d (2 pi)^d) must equal Z_cal(d, codim): the quadrature path and
-    # the closed form have to agree.
-    cases = [
-        (1, 1, _frames_2d()),
-        (
-            2,
-            1,
-            (
-                np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                np.array([[0.0, 0.0, 1.0]]),
-            ),
-        ),
-        (
-            1,
-            2,
-            (
-                np.array([[1.0, 0.0, 0.0]]),
-                np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            ),
-        ),
-    ]
-    for d, codim, (t, n) in cases:
-        sym = sl.flagship_symbol(d + codim)
-        rho = sl.rho_density(sym, np.zeros(d + codim), t, n)
+    # For |Xi|^{-N/2} the normal-fiber integral at a unit tangent covector is
+    # (2 pi)^{-q} omega_{q-1} int_0^inf (1 + r^2)^{-N/2} r^{q-1} dr, and the
+    # cosphere density rho is omega_{d-1} times it.  rho / (d (2 pi)^d) must
+    # be the one formula: homogeneity has removed the tangent frame.
+    for d, n in SURFACE_PAIRS:
+        q = n - d
+        radial = integrate.quad(lambda r: (1 + r * r) ** (-n / 2) * r ** (q - 1), 0, np.inf)[0]
+        fiber = sl.sphere_area(q) * radial / (2 * math.pi) ** q
+        rho = sl.sphere_area(d) * fiber
+        if (d, q) == (1, 1):
+            assert fiber == pytest.approx(0.5, rel=1e-12)
+            assert rho == pytest.approx(1.0, rel=1e-12)
         z = rho / (d * (2 * math.pi) ** d)
-        z_cal = sl.weyl_surface_coefficient(d, codim, "calibrated").value
-        assert z == pytest.approx(z_cal, rel=1e-4), (d, codim)
+        assert z == pytest.approx(sl.weyl_coefficient(d, n, "calibrated"), rel=1e-10), (d, n)
+
+
+def test_coefficient_table_csv():
+    lines = coefficient_csv([(1, 1), (2, 1)]).splitlines()
+    assert lines[0] == "d,codim,printed,calibrated"
+    d, codim, printed, calibrated = lines[1].split(",")
+    assert (d, codim) == ("1", "1")
+    assert float(printed) == 1.0
+    assert float(calibrated) == pytest.approx(1 / (2 * math.pi), rel=1e-14)
+    assert float(lines[2].split(",")[3]) == pytest.approx(1 / (4 * math.pi**2), rel=1e-14)
 
 
 # -- predictions -----------------------------------------------------------------
@@ -165,7 +111,7 @@ def test_dimensional_consistency_quadrature_vs_closed_form():
 
 def test_predicted_trace_circle():
     mu, v = sl.builtin_measure("circle", {"atoms": 2000})
-    pred = sl.predicted_trace(mu, v, sl.flagship_symbol(2), "calibrated")
+    pred = sl.predicted_trace(mu, v, "calibrated")
     assert pred.a_plus == pytest.approx(1.0, abs=1e-4)
     assert pred.a_minus == 0.0
     assert pred.residue == pred.a_plus
@@ -173,7 +119,7 @@ def test_predicted_trace_circle():
 
 def test_predicted_trace_half_signed():
     mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 2000})
-    pred = sl.predicted_trace(mu, v, sl.flagship_symbol(2), "calibrated")
+    pred = sl.predicted_trace(mu, v, "calibrated")
     assert pred.a_plus == pytest.approx(0.5, abs=1e-3)
     assert pred.a_minus == pytest.approx(0.5, abs=1e-3)
     assert abs(pred.residue) <= 1e-6
@@ -181,10 +127,15 @@ def test_predicted_trace_half_signed():
 
 def test_predicted_trace_mixed_dimensions():
     mu, v = sl.builtin_measure("circle_plus_square", {})
-    pred = sl.predicted_trace(mu, v, sl.flagship_symbol(2), "calibrated")
+    pred = sl.predicted_trace(mu, v, "calibrated")
     assert pred.a_plus == pytest.approx(1.0 + 1 / (4 * math.pi), abs=1e-3)
     dims = sorted(c.nominal_dim for c in pred.components)
     assert dims == [1, 2]
+    # the full-dimensional component takes the a.c. constant in both modes
+    printed = sl.predicted_trace(mu, v, "printed")
+    assert [c.coefficient for c in printed.components if c.nominal_dim == 2] == [
+        c.coefficient for c in pred.components if c.nominal_dim == 2
+    ]
 
 
 def test_predicted_trace_linearity():
@@ -192,31 +143,13 @@ def test_predicted_trace_linearity():
     rng = np.random.default_rng(0)
     v1 = rng.standard_normal(100)
     v2 = rng.standard_normal(100)
-    sym = sl.flagship_symbol(2)
-    pa = sl.predicted_trace(mu, SignedDensity(v1), sym).residue
-    pb = sl.predicted_trace(mu, SignedDensity(v2), sym).residue
-    pab = sl.predicted_trace(mu, SignedDensity(v1 + v2), sym).residue
+    pa = sl.predicted_trace(mu, SignedDensity(v1)).residue
+    pb = sl.predicted_trace(mu, SignedDensity(v2)).residue
+    pab = sl.predicted_trace(mu, SignedDensity(v1 + v2)).residue
     assert pab == pytest.approx(pa + pb, abs=1e-10)
 
 
 def test_predicted_trace_rejects_fractional_dimension():
     mu, v = sl.builtin_measure("cantor_line", {"depth": 5})
     with pytest.raises(PredictionUnavailableError):
-        sl.predicted_trace(mu, v, sl.flagship_symbol(2))
-
-
-def test_symbol_homogeneity_residual():
-    assert sl.flagship_symbol(2).homogeneity_residual() <= 1e-8
-    assert sl.flagship_symbol(3).homogeneity_residual() <= 1e-8
-
-
-def test_coefficient_table_csv(tmp_path):
-    path = tmp_path / "coeffs.csv"
-    from spectralab.coeffs import write_coefficient_csv
-
-    write_coefficient_csv(path, [(1, 1), (2, 1)])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "d,codim,printed,calibrated"
-    d, codim, printed, calibrated = lines[1].split(",")
-    assert float(printed) == pytest.approx(1.0, rel=1e-12)
-    assert float(calibrated) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
+        sl.predicted_trace(mu, v)

@@ -557,6 +557,26 @@ def test_measure_text_reader_rejects_wrong_columns(tmp_path, rows, problem):
         sl.load_measure_text(path)
 
 
+@pytest.mark.parametrize("components", [(), (Component(0, 0, 1.0),)], ids=["no_components", "empty_component"])
+def test_measure_text_round_trip_with_zero_atoms(tmp_path, components):
+    mu = sl.PointCloudMeasure(np.zeros((0, 2)), np.zeros(0), components, 0.0)
+    path = tmp_path / "m.txt"
+    sl.save_measure_text(mu, path)
+    back, vback = sl.load_measure_text(path)
+    assert back.positions.shape == (0, 2)
+    assert back.weights.shape == (0,)
+    assert back.components == components
+    assert back.total_mass == 0.0
+    assert vback is None
+
+
+def test_measure_text_reader_rejects_rows_after_a_zero_atom_header(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 0 0.0\n0.5 0.25 1.0\n")
+    with pytest.raises(ValueError, match="declares 0 atoms"):
+        sl.load_measure_text(path)
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
