@@ -825,12 +825,27 @@ def save_measure_text(
             f.writelines(" ".join(row) + "\n" for row in zip(*block))
 
 
+def _rows_follow(f) -> bool:
+    """Whether a line other than whitespace follows in the text file f; f is
+    left at the start of that line.  np.loadtxt warns on input without data,
+    so the reader asks this first."""
+    while True:
+        at = f.tell()
+        line = f.readline()
+        if not line:
+            return False
+        if line.strip():
+            f.seek(at)
+            return True
+
+
 def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
     """Read the format of save_measure_text.  Every atom row must hold N + 1
     numbers (coordinates and weight) or N + 2 (and a density value), N the
-    header's dimension; anything else is a ValueError.  The rows are parsed
-    by np.loadtxt, in blocks and correctly rounded, so a round trip is
-    bit-exact.  A header that declares no atoms reads back as the empty
+    header's dimension, and there must be as many rows as the header's
+    component counts add up to; anything else is a ValueError.  The rows are
+    parsed by np.loadtxt, in blocks and correctly rounded, so a round trip
+    is bit-exact.  A header that declares no atoms reads back as the empty
     measure, without a density."""
     with open(path) as f:
         first = f.readline().split()
@@ -844,17 +859,19 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
             comps.append(Component(start, start + cnt, float(dim_s)))
             start += cnt
         expected = f"{ambient + 1} or {ambient + 2} columns (N = {ambient})"
-        if start == 0:
-            if f.read().strip():
-                raise ValueError(f"{path}: the header declares 0 atoms, but atom rows follow")
-            data = np.zeros((0, ambient + 1))
-        else:
+        if _rows_follow(f):
             try:
                 data = np.loadtxt(f, dtype=float, ndmin=2, comments=None)
             except ValueError as exc:
                 raise ValueError(f"{path}: atom rows must have {expected}: {exc}") from exc
+        else:
+            data = np.zeros((0, ambient + 1))
     if data.shape[1] not in (ambient + 1, ambient + 2):
         raise ValueError(f"{path}: atom rows must have {expected}, not {data.shape[1]}")
+    if len(data) != start:
+        raise ValueError(
+            f"{path}: the header declares {start} atoms, but {len(data)} atom rows follow"
+        )
     pos = data[:, :ambient]
     w = data[:, ambient]
     v = SignedDensity(data[:, ambient + 1]) if data.shape[1] > ambient + 1 else None

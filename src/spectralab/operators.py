@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import operator
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 from scipy.special import k0 as bessel_k0
 
 from .coeffs import sphere_area
@@ -43,7 +44,58 @@ DEFAULT_MATRIX_BUDGET = 12_000
 # Entries of the per-axis exponential factors of one atom chunk of the
 # Fourier coefficient sum (2^16 complex entries: 1 MB).
 FOURIER_CHUNK_ELEMENTS = 2**16
+# Entries of one block temporary of an n x n assembly, check or copy (2^15
+# doubles: 256 KB).  A block holds a few of them at once, so a build works
+# in far less heap than one matrix.
+BLOCK_ELEMENTS = 2**15
+# Entries of one column panel of the sign framing (2^17 doubles: 1 MB).
+PANEL_ELEMENTS = 2**17
+# Rows of one block of a triangle mirror: each row of the block reads 16
+# consecutive entries of a column block, two cache lines.
+_MIRROR_ROWS = 16
 EULER_GAMMA = float(np.euler_gamma)
+_HUGE_PAGE = 2**21
+_PRIVATE = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _mapped_matrix(n: int, dtype=float) -> np.ndarray:
+    """A zero n x n C-order array in its own private anonymous mapping,
+    unmapped when its last view dies.  Every dense operator matrix is
+    allocated here.  A heap allocation of the same size could stay resident
+    after it is freed: glibc raises its mmap threshold to the size of the
+    last freed mapping, serves later matrices from the brk heap, and does
+    not trim that heap.
+
+    Like numpy's own large allocations, a matrix of a huge page or more
+    asks for transparent huge pages, so that first touching it takes few
+    page faults.  It then starts on a huge-page boundary, and only its
+    whole huge pages are advised, so that a partly used huge page never
+    adds to the resident size."""
+    dtype = np.dtype(dtype)
+    nbytes = n * n * dtype.itemsize
+    huge = nbytes - nbytes % _HUGE_PAGE
+    buf = mmap.mmap(-1, max(nbytes + (_HUGE_PAGE if huge else 0), 1), **_PRIVATE)
+    start = -np.frombuffer(buf, np.uint8, count=1).ctypes.data % _HUGE_PAGE if huge else 0
+    if huge and hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE, start, huge)
+    return np.frombuffer(buf, dtype, count=n * n, offset=start).reshape(n, n)
+
+
+def _block_rows(n: int) -> int:
+    """Rows of a block of BLOCK_ELEMENTS entries of an n-column matrix."""
+    return max(1, BLOCK_ELEMENTS // max(n, 1))
+
+
+def _mirror_lower(m: np.ndarray) -> None:
+    """m's strict upper triangle <- the conjugate transpose of its strict
+    lower one, in blocks of _MIRROR_ROWS rows; the diagonal is not read."""
+    n = m.shape[0]
+    for i0 in range(0, n, _MIRROR_ROWS):
+        i1 = min(i0 + _MIRROR_ROWS, n)
+        block = m[i0:i1, i0:i1]
+        upper = np.triu_indices(i1 - i0, 1)
+        block[upper] = block.T[upper].conj()
+        m[i0:i1, i1:] = m[i1:, i0:i1].T.conj()
 
 
 def log_kernel_coefficient(ambient_dim: int) -> float:
@@ -73,7 +125,7 @@ def _check_self_adjoint(m: np.ndarray) -> None:
     triangle with the matching column blocks so that no n x n temporary is
     formed.  A NaN or an infinity anywhere is a SolverError."""
     n = m.shape[0]
-    block = max(1, 2**19 // n)
+    block = _block_rows(n)
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
         rows, cols = m[i0:i1, i0:], m[i0:, i0:i1]
@@ -225,7 +277,7 @@ def _toeplitz_compression(
     mid = F.size // 2
     cols_c, cols_s = slice(z, z + p), slice(z + p, n)
 
-    matrix = np.empty((n, n))
+    matrix = _mapped_matrix(n)
     if z:
         a0 = float(multiplier[zero[0]])
         scale = math.sqrt(2.0) * a0 * a
@@ -233,19 +285,23 @@ def _toeplitz_compression(
         matrix[0, cols_c] = matrix[cols_c, 0] = scale * re[mid + rep]
         matrix[0, cols_s] = matrix[cols_s, 0] = -scale * im[mid + rep]
 
-    block = max(1, 2**19 // max(p, 1))
+    block = _block_rows(p)
     for r0 in range(0, p, block):
         r1 = min(r0 + block, p)
         row = rep[r0:r1, None]
         dif, tot = mid - row + rep, mid + row + rep  # zeta - xi, zeta + xi
-        re_d, re_s, im_d, im_s = re[dif], re[tot], im[dif], im[tot]
-        aa = a[r0:r1, None] * a
         rows_c, rows_s = slice(z + r0, z + r1), slice(z + p + r0, z + p + r1)
-        matrix[rows_c, cols_c] = aa * (re_d + re_s)
-        cs = aa * -(im_d + im_s)
-        matrix[rows_c, cols_s] = cs
+        # written in place, so that a block holds four temporaries at most
+        cc, cs, ss = matrix[rows_c, cols_c], matrix[rows_c, cols_s], matrix[rows_s, cols_s]
+        np.add(re[dif], re[tot], out=cc)
+        np.subtract(re[dif], re[tot], out=ss)
+        np.add(im[dif], im[tot], out=cs)
+        np.negative(cs, out=cs)
+        aa = a[r0:r1, None] * a
+        cc *= aa
+        cs *= aa
+        ss *= aa
         matrix[cols_s, rows_c] = cs.T
-        matrix[rows_s, cols_s] = aa * (re_d - re_s)
     return matrix
 
 
@@ -302,37 +358,24 @@ def _nn_distances(measure: PointCloudMeasure) -> np.ndarray:
     return nn
 
 
-def _symmetrize(m: np.ndarray) -> None:
-    """m <- 0.5 (m + m^T) in place, in row blocks of the upper triangle, so
-    that no n x n temporary is formed."""
-    n = m.shape[0]
-    block = max(1, 2**19 // n)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        avg = m[i0:i1, i0:] + m[i0:, i0:i1].T
-        avg *= 0.5
-        m[i0:i1, i0:] = avg
-        m[i0:, i0:i1] = avg.T
-
-
 def _log_kernel_matrix(
-    measure: PointCloudMeasure, spec: LogKernelSpec, c_log: float
+    measure: PointCloudMeasure,
+    spec: LogKernelSpec,
+    c_log: float,
+    density: SignedDensity | None = None,
 ) -> np.ndarray:
-    """The kernel k on the atoms, exactly symmetric: evaluated on the condensed
-    upper triangle of the distances and mirrored, with the diagonal rule.
-    The log kernel is -c_log log r; c_log = -1 gives +log r."""
+    """The kernel k on the atoms with the diagonal rule, exactly symmetric,
+    or with a density its frame sqrt(D) k sqrt(D), D_i = w_i |V_i|.  The log
+    kernel is -c_log log r; c_log = -1 gives +log r.
+
+    Built in row blocks of the lower triangle: the distances of one block
+    come from cdist, the kernel and the frame are evaluated on the block,
+    and it is written to its rows and, transposed, to its columns.  An
+    entry of the frame is 0.5 ((k_ij r_i) r_j + (k_ij r_j) r_i) with
+    r = sqrt(D), which is the same number on both sides of the diagonal."""
     if spec.kernel_choice == "bessel_exact_N2" and measure.ambient_dim != 2:
         raise ValueError("bessel_exact_N2 requires ambient dimension 2")
     nn = _nn_distances(measure)
-    dist = pdist(measure.positions)
-    if spec.kernel_choice == "bessel_exact_N2":
-        tri = bessel_k0(dist, out=dist)
-        tri /= 2 * math.pi
-    else:
-        tri = np.log(dist, out=dist)
-        np.negative(tri, out=tri)
-        tri *= c_log
-    kern = squareform(tri)
     if spec.diagonal_rule == "cell_average":
         # exact 1-d cell mean of -log over a cell of width delta
         diag = c_log * (1.0 - np.log(nn / 2.0))
@@ -341,19 +384,60 @@ def _log_kernel_matrix(
             diag = diag + c_log * (math.log(2.0) - EULER_GAMMA)
     else:
         diag = np.zeros(len(nn))
-    np.fill_diagonal(kern, diag)
+
+    x = measure.positions
+    n = len(x)
+    if density is not None:
+        root = np.sqrt(measure.weights * np.abs(density.values))
+    kern = _mapped_matrix(n)
+    block = _block_rows(n)
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        on_diag = (np.arange(i1 - i0), np.arange(i0, i1))
+        blk = cdist(x[i0:i1], x[:i1])
+        blk[on_diag] = 1.0  # a finite placeholder for the diagonal rule
+        if spec.kernel_choice == "bessel_exact_N2":
+            bessel_k0(blk, out=blk)
+            blk /= 2 * math.pi
+        else:
+            np.log(blk, out=blk)
+            np.negative(blk, out=blk)
+            blk *= c_log
+        blk[on_diag] = diag[i0:i1]
+        if density is not None:
+            r_i, r_j = root[i0:i1, None], root[:i1]
+            blk = 0.5 * (blk * r_i * r_j + blk * r_j * r_i)
+        kern[i0:i1, :i1] = blk
+        kern[:i1, i0:i1] = blk.T
     return kern
 
 
-def _unsigned_frame(
-    kern: np.ndarray, measure: PointCloudMeasure, density: SignedDensity
-) -> np.ndarray:
-    """sqrt(D) k sqrt(D) with D_i = w_i |V_i|, in place and exactly symmetric."""
-    root = np.sqrt(measure.weights * np.abs(density.values))
-    kern *= root[:, None]
-    kern *= root[None, :]
-    _symmetrize(kern)
-    return kern
+def _cholesky_frame(m: np.ndarray, d: np.ndarray) -> None:
+    """m <- C^T diag(d) C in place, exactly symmetric, for C the lower
+    triangular factor that dpotrf leaves in m.T (m's strict lower triangle
+    zero).
+
+    Column panel J of the product is C^T W with W = diag(d) C[:, J]: W is
+    copied out and multiplied in place by dtrmm.  Its rows down to the end
+    of the panel's diagonal block are then written over the same rows of
+    column panel J of m.T.  Above the diagonal that panel holds zeros; its
+    diagonal block is still read by the dtrmm of every later panel, but
+    only against rows of W above that panel, which are zero.  Panels are
+    taken in ascending order, and the triangle so built is mirrored.
+
+    W, at most PANEL_ELEMENTS entries, is the only temporary.  The products
+    run through scipy's BLAS, like the dpotrf before them and the eigensolve
+    after them: numpy's BLAS is a second thread pool, whose spinning
+    threads would slow scipy's down."""
+    f = m.T
+    n = m.shape[0]
+    cols = max(1, PANEL_ELEMENTS // n)
+    buf = np.empty((n, cols), order="F")
+    for j0 in range(0, n, cols):
+        j1 = min(j0 + cols, n)
+        w = np.multiply(f[:, j0:j1], d[:, None], out=buf[:, : j1 - j0])
+        f[:j1, j0:j1] = dtrmm(1.0, f, w, lower=1, trans_a=1, overwrite_b=1)[:j1]
+    _mirror_lower(m)
 
 
 def assemble_log_kernel(
@@ -373,25 +457,23 @@ def assemble_log_kernel(
     check_pairing(measure, density)
     spec = spec or LogKernelSpec()
     c_log = spec.log_coefficient or log_kernel_coefficient(measure.ambient_dim)
-    kern = _log_kernel_matrix(measure, spec, c_log)
     sign_framed = bool(np.any(density.values < 0))
     if sign_framed:
-        # kern is exactly symmetric, so kern.T is k in Fortran order: factor
-        # it in place, then form C^T diag(w V) C with one in-place dtrmm
-        factor, info = dpotrf(kern.T, lower=1, overwrite_a=1)
-        if info:
+        # k is exactly symmetric, so matrix.T is k in Fortran order: factor
+        # it in place (dpotrf zeroes matrix's strict lower triangle), then
+        # form C^T diag(w V) C on the factor
+        matrix = _log_kernel_matrix(measure, spec, c_log)
+        if dpotrf(matrix.T, lower=1, overwrite_a=1)[1]:
+            del matrix
             kern = _log_kernel_matrix(measure, spec, c_log)
             lam = float(eigh(kern, eigvals_only=True, subset_by_index=[0, 0])[0])
             raise DegenerateKernelError(
                 f"kernel matrix is not positive definite (smallest eigenvalue "
                 f"{lam:.6g}); a sign-changing density needs a positive definite kernel"
             )
-        wv = measure.weights * density.values
-        scaled = np.multiply(factor, wv[:, None], order="F")
-        matrix = dtrmm(1.0, factor, scaled, lower=1, trans_a=1, overwrite_b=1).T
-        _symmetrize(matrix)
+        _cholesky_frame(matrix, measure.weights * density.values)
     else:
-        matrix = _unsigned_frame(kern, measure, density)
+        matrix = _log_kernel_matrix(measure, spec, c_log, density)
     return AssembledOperator(
         matrix=matrix,
         route="logkernel",
@@ -423,9 +505,9 @@ def assemble_log_potential(
         raise NegativeDensityError(
             "log potential needs V >= 0; use assemble_log_kernel for signed densities"
         )
-    kern = _log_kernel_matrix(measure, LogKernelSpec(diagonal_rule=diagonal_rule), -1.0)
+    spec = LogKernelSpec(diagonal_rule=diagonal_rule)
     return AssembledOperator(
-        matrix=_unsigned_frame(kern, measure, density),
+        matrix=_log_kernel_matrix(measure, spec, -1.0, density),
         route="logpotential",
         metadata={
             "diagonal_rule": diagonal_rule,
@@ -506,44 +588,51 @@ _MAGIC = b"SPLO"
 _FORMAT_VERSION = 1
 
 
+def _lower_rows(n: int):
+    """Row blocks of an n x n matrix m as (rows, mask): m[rows][mask] is the
+    row-major lower triangle of those rows, diagonal included, and holds at
+    most BLOCK_ELEMENTS entries."""
+    block = _block_rows(n)
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        yield np.s_[i0:i1, :i1], np.tri(i1 - i0, i1, i0, dtype=bool)
+
+
 def save_operator(op: AssembledOperator, path) -> None:
     """Binary layout: magic, version, dtype flag, size, then the row-major
-    lower triangle (real, or interleaved re/im); metadata in a JSON sidecar."""
+    lower triangle (real, or interleaved re/im); metadata in a JSON sidecar.
+    The triangle is written in row blocks."""
     m = op.matrix
     is_complex = np.iscomplexobj(m)
-    n = op.size
-    idx = np.tril_indices(n)
-    tri = m[idx]
+    dtype = "<c16" if is_complex else "<f8"
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        np.array([_FORMAT_VERSION, int(is_complex), n], dtype="<i8").tofile(f)
-        if is_complex:
-            np.stack([tri.real, tri.imag], axis=-1).astype("<f8").tofile(f)
-        else:
-            tri.astype("<f8").tofile(f)
+        np.array([_FORMAT_VERSION, int(is_complex), op.size], dtype="<i8").tofile(f)
+        for rows, mask in _lower_rows(op.size):
+            np.asarray(m[rows][mask], dtype=dtype).tofile(f)
     sidecar = {"route": op.route, "metadata": op.metadata}
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
 
 
 def load_operator(path) -> AssembledOperator:
+    """Read the format of save_operator, in row blocks, into a matrix in its
+    own mapping; the upper triangle is the conjugate of the lower one."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError("not a spectralab operator file")
-        version, is_complex, n = np.fromfile(f, dtype="<i8", count=3)
+        version, is_complex, n = (int(x) for x in np.fromfile(f, dtype="<i8", count=3))
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported operator format version {version}")
-        count = n * (n + 1) // 2
-        if is_complex:
-            raw = np.fromfile(f, dtype="<f8", count=2 * count).reshape(-1, 2)
-            tri = raw[:, 0] + 1j * raw[:, 1]
-        else:
-            tri = np.fromfile(f, dtype="<f8", count=count)
-    m = np.zeros((n, n), dtype=complex if is_complex else float)
-    idx = np.tril_indices(n)
-    m[idx] = tri
-    upper = np.triu_indices(n, k=1)
-    m[upper] = m.conj().T[upper]
+        dtype = "<c16" if is_complex else "<f8"
+        m = _mapped_matrix(n, complex if is_complex else float)
+        for rows, mask in _lower_rows(n):
+            count = int(np.count_nonzero(mask))
+            tri = np.fromfile(f, dtype=dtype, count=count)
+            if len(tri) != count:
+                raise ValueError(f"{path}: the operator file ends inside its matrix")
+            m[rows][mask] = tri
+    _mirror_lower(m)
     try:
         with open(str(path) + ".json") as f:
             sidecar = json.load(f)

@@ -14,16 +14,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import SolverError, SpectralWindowError
-from .operators import AssembledOperator
+from .operators import AssembledOperator, _mirror_lower
 
 EIGENVALUE_FLOOR_FACTOR = 1e-14
 RESIDUAL_TOL = 1e-8
 RESIDUAL_PAIRS = 5
 DEFAULT_WINDOW_FRACTIONS = (0.05, 0.25)
 PLATEAU_MIN_COUNT = 40
+# Reflectors per compact-WY block of the back-transform.
+WY_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -115,37 +117,28 @@ def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, lo: int, hi: int):
 
 
 def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Q z for the reduction's Q = H_0 H_1 ... H_{n-2}, applied reflector by
-    reflector to the k columns of z: O(n^2 k), and Q is never formed.  The
-    unit leading entries of the v_i overwrite c's subdiagonal, which holds a
-    copy of e."""
+    """Q z for the reduction's Q = H_0 H_1 ... H_{n-2}, applied to the k
+    columns of z in compact-WY blocks of WY_BLOCK reflectors, last block
+    first: O(n^2 (k + WY_BLOCK)), and Q is never formed.
+
+    A block H_j0 ... H_j1-1 = I - V T V^H has the unit lower trapezoidal V of
+    its reflectors and T^{-1} = diag(1 / tau) + striu(V^H V).  A reflector
+    with tau = 0 is the identity: its column of V is zeroed and its entry
+    of diag(1 / tau) is 1, so it changes nothing."""
     n = c.shape[0]
-    sub = np.arange(n - 1)
-    c[sub + 1, sub] = 1.0
     x = np.array(z, dtype=c.dtype, order="C")
-    for i in range(n - 2, -1, -1):
-        v = c[i + 1 :, i]
-        xs = x[i + 1 :]
-        xs -= np.outer(v, tau[i] * (v.conj() @ xs))
+    for j0 in reversed(range(0, n - 1, WY_BLOCK)):
+        t = tau[j0 : min(j0 + WY_BLOCK, n - 1)]
+        live = t != 0
+        v = np.tril(c[j0 + 1 :, j0 : j0 + len(t)], -1)
+        v[np.diag_indices(len(t))] = 1.0
+        v *= live
+        vh = v.conj().T
+        t_inv = np.triu(vh @ v, 1)
+        t_inv[np.diag_indices(len(t))] = np.divide(1.0, t, out=np.ones_like(t), where=live)
+        xs = x[j0 + 1 :]
+        xs -= v @ solve_triangular(t_inv, vh @ xs)
     return x
-
-
-_RESTORE_ROWS = 16
-
-
-def _restore_upper(m: np.ndarray, diag: np.ndarray) -> None:
-    """Undo a lower-storage reduction of m.T, which overwrites m's diagonal
-    and upper triangle: the upper triangle becomes the conjugate transpose of
-    the untouched strict lower one, and the diagonal `diag`.  Works in blocks
-    of _RESTORE_ROWS rows, so the temporaries stay O(n)."""
-    n = m.shape[0]
-    for i0 in range(0, n, _RESTORE_ROWS):
-        i1 = min(i0 + _RESTORE_ROWS, n)
-        block = m[i0:i1, i0:i1]
-        upper = np.triu_indices(i1 - i0, 1)
-        block[upper] = block.T[upper].conj()
-        m[i0:i1, i1:] = m[i1:, i0:i1].T.conj()
-    np.fill_diagonal(m, diag)
 
 
 def eigen_spectrum(op: AssembledOperator) -> EigenReport:
@@ -181,7 +174,8 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
             vals_blk, z = _tridiagonal_pairs(d, e, lo, hi)
             vecs_blk = _back_transform(c, tau, z).conj()
     finally:
-        _restore_upper(m, diag)
+        _mirror_lower(m)
+        np.fill_diagonal(m, diag)
 
     if checked:
         resid = np.linalg.norm(m @ vecs_blk - vecs_blk * vals_blk, axis=0)

@@ -577,6 +577,16 @@ def test_measure_text_reader_rejects_rows_after_a_zero_atom_header(tmp_path):
         sl.load_measure_text(path)
 
 
+@pytest.mark.parametrize("rows", [0, 2, 4], ids=["no_rows", "one_row_short", "one_row_over"])
+def test_measure_text_reader_counts_rows_against_the_header(tmp_path, rows):
+    # a truncated or overlong file: the header declares 3 atoms; no numpy
+    # warning on the way (pytest turns warnings into errors)
+    path = tmp_path / "m.txt"
+    path.write_text("2 1 3.0\n3 1.0\n" + "0.5 0.25 1.0\n" * rows)
+    with pytest.raises(ValueError, match=f"declares 3 atoms, but {rows} atom rows follow"):
+        sl.load_measure_text(path)
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:

@@ -1,9 +1,14 @@
 """Operator assembly routes: closed-form examples, analytic circle oracle,
 structural invariants, binary round trip."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,13 @@ from spectralab.errors import (
     SupportTooLargeError,
 )
 from spectralab.measures import PointCloudMeasure, SignedDensity
-from spectralab.operators import FOURIER_CHUNK_ELEMENTS, _fourier_coefficients, circle_angles
+from spectralab.operators import (
+    FOURIER_CHUNK_ELEMENTS,
+    PANEL_ELEMENTS,
+    _cholesky_frame,
+    _fourier_coefficients,
+    circle_angles,
+)
 from spectralab.orlicz import luxemburg_norm
 
 
@@ -492,6 +503,53 @@ def test_operator_binary_round_trip_real(tmp_path):
     assert back.metadata["kernel_choice"] == "bessel_exact_N2"
 
 
+def _reference_operator_bytes(m):
+    # the layout through index arrays: header, then the row-major lower triangle
+    n = m.shape[0]
+    tri = m[np.tril_indices(n)]
+    head = b"SPLO" + np.array([1, int(np.iscomplexobj(m)), n], dtype="<i8").tobytes()
+    if np.iscomplexobj(m):
+        return head + np.stack([tri.real, tri.imag], axis=-1).astype("<f8").tobytes()
+    return head + tri.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_operator_file_bytes_and_working_set(tmp_path, kind):
+    # n = 1000: many row blocks; the index arrays of the whole triangle alone
+    # would take as much memory as the matrix
+    rng = np.random.default_rng(8)
+    n = 1000
+    a = rng.standard_normal((n, n))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+        a[7, 3] = -0.0 + 2.0j  # a negative zero survives the round trip
+    lower = np.tril(a, -1)
+    op = sl.AssembledOperator(matrix=lower + lower.conj().T + np.diag(a.diagonal().real), route="fourier")
+    path = tmp_path / "op.bin"
+    tracemalloc.start()
+    try:
+        sl.save_operator(op, path)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = sl.load_operator(path)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _reference_operator_bytes(op.matrix)
+    assert back.matrix.tobytes() == op.matrix.tobytes()
+    assert saved < 0.1 * op.matrix.nbytes
+    assert loaded < 0.1 * op.matrix.nbytes
+
+
+def test_load_operator_rejects_a_truncated_file(tmp_path):
+    mu, v = sl.builtin_measure("segment", {"atoms": 300})
+    path = tmp_path / "op.bin"
+    sl.save_operator(sl.assemble_log_kernel(mu, v), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="ends inside its matrix"):
+        sl.load_operator(path)
+
+
 def test_operator_binary_round_trip_complex(tmp_path):
     # no assembly route returns a complex matrix; build a Hermitian one by hand
     rng = np.random.default_rng(5)
@@ -549,3 +607,80 @@ def test_fourier_coefficients_working_set_is_bounded(route):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+# -- one resident matrix per operator ------------------------------------------
+
+
+def _assembly_routes():
+    circle, ones = sl.builtin_measure("circle", {"atoms": 1600})
+    signed = sl.builtin_measure("half_signed_circle", {"atoms": 1600})
+    bessel = sl.LogKernelSpec("bessel_exact_N2")
+    return {
+        "logkernel": lambda: sl.assemble_log_kernel(circle, ones, bessel),
+        "logkernel-signed": lambda: sl.assemble_log_kernel(*signed, bessel),
+        "logpotential": lambda: sl.assemble_log_potential(circle, ones),
+        "fourier": lambda: sl.assemble_fourier_bs(circle, ones, 8.0, 16),  # 1089 modes
+        "steklov": lambda: sl.assemble_steklov_circle(circle, ones, 544, "shift"),  # 1089 modes
+    }
+
+
+@pytest.mark.parametrize("route", ["logkernel", "logkernel-signed", "logpotential", "fourier", "steklov"])
+def test_assembly_working_set_is_bounded(route):
+    # the matrix lives in its own mapping, which tracemalloc does not see;
+    # every other allocation of the assembly is a small block temporary
+    assemble = _assembly_routes()[route]
+    assemble()  # builds the measure's cached tree outside the trace
+    tracemalloc.start()
+    try:
+        op = assemble()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.size >= 1089
+    assert peak < 2e6
+
+
+_RSS_SCRIPT = """
+import json, numpy as np, spectralab as sl
+
+def rss():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmRSS:"))
+
+big = np.ones(32_000_000 // 8)  # freeing it raises glibc's mmap threshold to 32 MB
+del big
+mu, v = sl.builtin_measure("circle", {"atoms": 1600})
+op = sl.assemble_log_kernel(mu, v)
+nbytes, before = op.matrix.nbytes, rss()
+del op
+print(json.dumps({"nbytes": nbytes, "released": before - rss()}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmRSS from /proc")
+def test_freed_operator_matrix_returns_to_the_os():
+    # a 20 MB matrix below glibc's raised mmap threshold would come from the
+    # brk heap and stay resident after it is freed
+    src = str(Path(sl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_SCRIPT], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["released"] >= 0.9 * got["nbytes"]
+
+
+@pytest.mark.parametrize("n", [1, 7, 700])
+def test_cholesky_frame_is_the_weighted_product(n):
+    # 700 rows span several column panels; d has both signs and zeros
+    rng = np.random.default_rng(n)
+    c = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+    d = rng.normal(0.0, 1.0, n)
+    d[::5] = 0.0
+    m = np.ascontiguousarray(c.T)  # row i holds column i of c
+    assert n < 100 or 3 * (PANEL_ELEMENTS // n) < n  # several panels
+    _cholesky_frame(m, d)
+    want = c.T @ (d[:, None] * c)
+    assert np.array_equal(m, m.T)
+    assert np.abs(m - want).max() <= 1e-13 * np.abs(want).max()

@@ -230,6 +230,45 @@ def test_eigen_spectrum_forms_no_second_matrix():
     assert peak < 0.1 * op.matrix.nbytes
 
 
+def _per_reflector_back_transform(c, tau, z):
+    # Q z reflector by reflector, last reflector first
+    n = c.shape[0]
+    x = np.array(z, dtype=c.dtype)
+    for i in range(n - 2, -1, -1):
+        v = np.concatenate([[1.0], c[i + 2 :, i]])
+        x[i + 1 :] -= np.outer(v, tau[i] * (v.conj() @ x[i + 1 :]))
+    return x
+
+
+def _hermitian(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "diagonal":  # every reflector has tau = 0
+        return np.diag(rng.standard_normal(n))
+    a = rng.standard_normal((n, n))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 33, 200])
+@pytest.mark.parametrize("kind", ["real", "complex", "diagonal"])
+def test_blocked_back_transform_matches_per_reflector(kind, n):
+    # sizes below, at and across the compact-WY block boundary
+    m = _hermitian(kind, n)
+    c, d, e, tau = spectral._tridiagonalize(np.array(m, order="F"))
+    if kind == "diagonal":
+        assert not np.any(tau)
+    z = np.random.default_rng(0).standard_normal((n, 5))
+    want = _per_reflector_back_transform(c, tau, z)
+    got = spectral._back_transform(c, tau, z)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # Q is unitary and reduces m to the tridiagonal
+    q = spectral._back_transform(c, tau, np.eye(n))
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-13
+    assert np.abs(q.conj().T @ m @ q - t).max() <= 1e-12 * np.abs(m).max()
+
+
 # -- counting -------------------------------------------------------------------
 
 
