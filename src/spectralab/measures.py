@@ -10,8 +10,10 @@ limit, only its finite-scale proxy.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
@@ -797,7 +799,7 @@ def builtin_measure(
 
 # -- serialization -----------------------------------------------------------
 
-# Atom rows that save_measure_text formats at a time.
+# Atom rows that save_measure_text formats, and load_measure_text parses, at a time.
 TEXT_BLOCK_ROWS = 8192
 
 
@@ -844,9 +846,15 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
     numbers (coordinates and weight) or N + 2 (and a density value), N the
     header's dimension, and there must be as many rows as the header's
     component counts add up to; anything else is a ValueError.  The rows are
-    parsed by np.loadtxt, in blocks and correctly rounded, so a round trip
-    is bit-exact.  A header that declares no atoms reads back as the empty
-    measure, without a density."""
+    parsed by np.loadtxt, correctly rounded, so a round trip is bit-exact.
+    A header that declares no atoms reads back as the empty measure,
+    without a density.
+
+    The output arrays are allocated from the header's atom count, when the
+    file is large enough to hold that many rows, and filled a block of
+    TEXT_BLOCK_ROWS lines at a time, so no table of all the rows is held
+    next to them.  The lines are read through readline, which keeps
+    f.tell() valid for _rows_follow."""
     with open(path) as f:
         first = f.readline().split()
         ambient, ncomp = int(first[0]), int(first[1])
@@ -859,23 +867,44 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
             comps.append(Component(start, start + cnt, float(dim_s)))
             start += cnt
         expected = f"{ambient + 1} or {ambient + 2} columns (N = {ambient})"
-        if _rows_follow(f):
+        lines = iter(f.readline, "")
+        # a row takes at least 2 (N + 1) bytes, the last one a byte less; a
+        # count the rest of the file cannot hold gets no arrays, and its rows
+        # are only counted
+        room = (os.fstat(f.fileno()).st_size - f.tell() + 1) // (2 * (ambient + 1))
+        size = start if 0 <= start <= room else 0
+        pos, w, v = np.empty((size, ambient)), np.empty(size), None
+        width, read = None, 0
+        while _rows_follow(f):
             try:
-                data = np.loadtxt(f, dtype=float, ndmin=2, comments=None)
+                block = np.loadtxt(
+                    itertools.islice(lines, TEXT_BLOCK_ROWS), dtype=float, ndmin=2, comments=None
+                )
             except ValueError as exc:
                 raise ValueError(f"{path}: atom rows must have {expected}: {exc}") from exc
-        else:
-            data = np.zeros((0, ambient + 1))
-    if data.shape[1] not in (ambient + 1, ambient + 2):
-        raise ValueError(f"{path}: atom rows must have {expected}, not {data.shape[1]}")
-    if len(data) != start:
+            if width is None:
+                width = block.shape[1]
+                if width not in (ambient + 1, ambient + 2):
+                    raise ValueError(f"{path}: atom rows must have {expected}, not {width}")
+                if width == ambient + 2:
+                    v = np.empty(size)
+            elif block.shape[1] != width:
+                raise ValueError(
+                    f"{path}: atom rows must have {expected}: the number of columns "
+                    f"changed from {width} to {block.shape[1]} at atom row {read + 1}"
+                )
+            stop = read + len(block)
+            if stop <= size:  # rows past size are only counted
+                pos[read:stop] = block[:, :ambient]
+                w[read:stop] = block[:, ambient]
+                if v is not None:
+                    v[read:stop] = block[:, ambient + 1]
+            read = stop
+    if read != start:
         raise ValueError(
-            f"{path}: the header declares {start} atoms, but {len(data)} atom rows follow"
+            f"{path}: the header declares {start} atoms, but {read} atom rows follow"
         )
-    pos = data[:, :ambient]
-    w = data[:, ambient]
-    v = SignedDensity(data[:, ambient + 1]) if data.shape[1] > ambient + 1 else None
     mu = PointCloudMeasure(
         positions=pos, weights=w, components=tuple(comps), total_mass=total
     )
-    return mu, v
+    return mu, None if v is None else SignedDensity(v)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmm, zgemm
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 from scipy.special import k0 as bessel_k0
@@ -208,7 +208,9 @@ def _chunk_coefficients(
         # 2e-16 relative, against 4e-15 through a gemv
         return factors[0].sum(axis=1)
     if len(rows) == 2:
-        return factors[0] @ factors[1].T
+        # F0 F1^T through scipy's BLAS (see _cholesky_frame): both .T are
+        # Fortran-order views, so nothing is copied
+        return zgemm(1.0, factors[0].T, factors[1].T, trans_a=1)
     letters = "abcdef"[: len(rows)]
     return np.einsum(",".join(f"{c}i" for c in letters) + "->" + letters, *factors)
 
@@ -266,7 +268,7 @@ def _toeplitz_compression(
     result is symmetric bit for bit (signed zeros included).
     """
     strides = np.array([int(np.prod(F.shape[ax + 1 :])) for ax in range(F.ndim)])
-    offset = coords @ strides  # flat offset from the centre; its sign is lexicographic
+    offset = (coords * strides).sum(axis=1)  # flat offset from the centre; its sign is lexicographic
     keep = offset > 0
     rep, a = offset[keep], multiplier[keep]
     zero = np.flatnonzero(offset == 0)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 from .errors import SolverError, SpectralWindowError
 from .operators import AssembledOperator, _mirror_lower
@@ -24,7 +24,7 @@ RESIDUAL_TOL = 1e-8
 RESIDUAL_PAIRS = 5
 DEFAULT_WINDOW_FRACTIONS = (0.05, 0.25)
 PLATEAU_MIN_COUNT = 40
-# Reflectors per compact-WY block of the back-transform.
+# Reflectors per ?ormqr panel of the back-transform.
 WY_BLOCK = 32
 
 
@@ -118,26 +118,28 @@ def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, lo: int, hi: int):
 
 def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Q z for the reduction's Q = H_0 H_1 ... H_{n-2}, applied to the k
-    columns of z in compact-WY blocks of WY_BLOCK reflectors, last block
-    first: O(n^2 (k + WY_BLOCK)), and Q is never formed.
+    columns of z by ?ormqr / ?unmqr one panel of WY_BLOCK reflectors at a
+    time, last panel first: O(n^2 k), and Q is never formed.
 
-    A block H_j0 ... H_j1-1 = I - V T V^H has the unit lower trapezoidal V of
-    its reflectors and T^{-1} = diag(1 / tau) + striu(V^H V).  A reflector
-    with tau = 0 is the identity: its column of V is zeroed and its entry
-    of diag(1 / tau) is 1, so it changes nothing."""
+    Below row 0, c[1:, :n-1] holds the reflectors as a QR factorization
+    would, so panel [j0, j1) acts on rows j0 + 1 .. of z (LAPACK's ?ormtr
+    does the same).  A reflector with tau = 0 is the identity to LAPACK,
+    so it needs no special case.  A panel is passed as an F-order copy of
+    its columns: f2py would copy a non-contiguous slice of all of c."""
     n = c.shape[0]
-    x = np.array(z, dtype=c.dtype, order="C")
+    x = np.array(z, dtype=c.dtype, order="F")
+    name = "unmqr" if np.iscomplexobj(c) else "ormqr"
+    mqr = lapack.get_lapack_funcs(name, (c,))
+    lwork = None
     for j0 in reversed(range(0, n - 1, WY_BLOCK)):
-        t = tau[j0 : min(j0 + WY_BLOCK, n - 1)]
-        live = t != 0
-        v = np.tril(c[j0 + 1 :, j0 : j0 + len(t)], -1)
-        v[np.diag_indices(len(t))] = 1.0
-        v *= live
-        vh = v.conj().T
-        t_inv = np.triu(vh @ v, 1)
-        t_inv[np.diag_indices(len(t))] = np.divide(1.0, t, out=np.ones_like(t), where=live)
-        xs = x[j0 + 1 :]
-        xs -= v @ solve_triangular(t_inv, vh @ xs)
+        j1 = min(j0 + WY_BLOCK, n - 1)
+        args = ("L", "N", np.array(c[j0 + 1 :, j0:j1], order="F"), tau[j0:j1], x[j0 + 1 :])
+        if lwork is None:
+            work, info = mqr(*args, -1)[1:]
+            _lapack_info(info, mqr.typecode + name + " workspace query", n)
+            lwork = int(np.real(work[0]))
+        x[j0 + 1 :], _, info = mqr(*args, lwork, overwrite_c=1)
+        _lapack_info(info, mqr.typecode + name, n)
     return x
 
 
@@ -150,6 +152,11 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     again on T by bisection and inverse iteration, back-transformed with the
     reduction's reflectors, and checked against the original matrix:
     ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf agree to 1e-8 ||M||.
+    A passed check leaves its margins in the report's metadata:
+    `residual_rel` (largest residual / ||M||), `bisection_gap_rel` (largest
+    bisection-dsterf gap / ||M||) and `checked_range` (lo, hi), the 0-based
+    ascending indices checked.  With n = 1 or M = 0 nothing is checked, and
+    none of the three keys is set.
 
     The reduction runs in place on op.matrix, so no second n x n array is
     formed: LAPACK reduces the Fortran-order view m.T from its lower
@@ -177,8 +184,13 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
         _mirror_lower(m)
         np.fill_diagonal(m, diag)
 
+    metadata = dict(op.metadata)
     if checked:
-        resid = np.linalg.norm(m @ vecs_blk - vecs_blk * vals_blk, axis=0)
+        # M q through scipy's BLAS, like every LAPACK call above: m.T is M^T
+        # in Fortran order, and trans_a=1 transposes it back without the
+        # conjugation that trans_a=2 would add
+        gemm = blas.get_blas_funcs("gemm", (m, vecs_blk))
+        resid = np.linalg.norm(gemm(1.0, m.T, vecs_blk, trans_a=1) - vecs_blk * vals_blk, axis=0)
         if np.any(resid > RESIDUAL_TOL * norm):
             raise SolverError(
                 f"eigenpair residual {resid.max():g} exceeds {RESIDUAL_TOL:g} * ||M|| "
@@ -190,6 +202,11 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
                 f"bisection and dsterf eigenvalues differ by {agree:g} on the "
                 f"checked block (||M|| = {norm:g}, size {n})"
             )
+        metadata.update(
+            residual_rel=float(resid.max()) / norm,
+            bisection_gap_rel=float(agree) / norm,
+            checked_range=(lo, hi),
+        )
 
     floor = EIGENVALUE_FLOOR_FACTOR * norm
     pos = np.sort(values[values > floor])[::-1]
@@ -200,7 +217,7 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
         size=n,
         floor=floor,
         route=op.route,
-        metadata=dict(op.metadata),
+        metadata=metadata,
     )
 
 

@@ -587,6 +587,23 @@ def test_measure_text_reader_counts_rows_against_the_header(tmp_path, rows):
         sl.load_measure_text(path)
 
 
+@pytest.mark.parametrize("count", [-3, 10**12], ids=["negative", "more_than_the_file_holds"])
+def test_measure_text_reader_rejects_counts_the_file_cannot_hold(tmp_path, count):
+    path = tmp_path / "m.txt"
+    path.write_text(f"2 1 1.0\n{count} 1.0\n0.5 0.25 1.0\n")
+    with pytest.raises(ValueError, match=f"declares {count} atoms, but 1 atom rows follow"):
+        sl.load_measure_text(path)
+
+
+def test_measure_text_reader_reads_rows_of_the_least_length(tmp_path):
+    # 2 (N + 1) bytes a row, the last one without its newline
+    path = tmp_path / "m.txt"
+    path.write_text("2 1 2.0\n2 1.0\n0 0 1\n1 1 1")
+    back, vback = sl.load_measure_text(path)
+    assert back.positions.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert back.weights.tolist() == [1.0, 1.0] and vback is None
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -601,6 +618,34 @@ def test_measure_text_io_working_set_is_bounded(tmp_path):
     path = tmp_path / "m.txt"
     assert _peak_bytes(sl.save_measure_text, mu, path, v) < 4e6
     assert _peak_bytes(sl.load_measure_text, path) < 8e6
+
+
+def test_measure_text_reader_holds_one_copy_of_the_atoms(tmp_path):
+    # the arrays are filled block by block, not copied out of a whole table
+    mu, v = sl.builtin_measure("circle", {"atoms": 80_000})
+    path = tmp_path / "m.txt"
+    sl.save_measure_text(mu, path, v)
+    out = mu.positions.nbytes + mu.weights.nbytes + v.values.nbytes
+    assert _peak_bytes(sl.load_measure_text, path) < 1.3 * out
+
+
+def test_measure_text_reader_checks_columns_across_blocks(tmp_path):
+    rows = sl.measures.TEXT_BLOCK_ROWS
+    path = tmp_path / "m.txt"
+    path.write_text(f"2 1 {rows + 1}.0\n{rows + 1} 1.0\n" + "0.5 0.25 1.0\n" * rows + "0.5 0.25 1.0 7.0\n")
+    with pytest.raises(
+        ValueError,
+        match=rf"3 or 4 columns \(N = 2\): the number of columns changed from 3 to 4 at atom row {rows + 1}",
+    ):
+        sl.load_measure_text(path)
+
+
+def test_measure_text_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 1 3.0\n3 1.0\n0.5 0.25 1.0 2.0\n\n0.5 -0.25 1.0 3.0\n  \n-0.5 0.25 1.0 4.0\n\n")
+    back, vback = sl.load_measure_text(path)
+    assert back.positions.tolist() == [[0.5, 0.25], [0.5, -0.25], [-0.5, 0.25]]
+    assert vback.values.tolist() == [2.0, 3.0, 4.0]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,7 +1,9 @@
 """Spectral functionals on synthetic sequences with direct-summation oracles."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +93,34 @@ def test_eigen_spectrum_complex_hermitian(tmp_path, n):
     assert len(rep.positive) == len(pos) and len(rep.negative) == len(neg)
     assert np.abs(rep.positive - pos).max(initial=0.0) <= 1e-13 * scale
     assert np.abs(rep.negative - neg).max(initial=0.0) <= 1e-13 * scale
+
+
+def test_eigen_spectrum_complex_residual_margin():
+    # non-real off-diagonal entries: a residual taken against conj(M) fails
+    rng = np.random.default_rng(11)
+    a = np.tril(rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300)), -1)
+    m = a + a.conj().T + np.diag(rng.standard_normal(300))
+    rep = sl.eigen_spectrum(AssembledOperator(matrix=m, route="fourier"))
+    assert rep.metadata["residual_rel"] < 1e-12
+
+
+def test_eigen_spectrum_records_the_check_margins():
+    n = 60
+    op = _positive_definite_op(n)
+    op.metadata["cutoff"] = 7
+    rep = sl.eigen_spectrum(op)
+    # a positive definite matrix is checked at its top end
+    assert rep.metadata["checked_range"] == (n - spectral.RESIDUAL_PAIRS, n - 1)
+    assert 0 <= rep.metadata["residual_rel"] < 1e-12
+    assert 0 <= rep.metadata["bisection_gap_rel"] < 1e-12
+    assert rep.metadata["cutoff"] == 7
+    assert op.metadata == {"cutoff": 7}
+
+
+@pytest.mark.parametrize("matrix", [np.array([[2.5]]), np.zeros((4, 4))], ids=["one_by_one", "zero"])
+def test_eigen_spectrum_records_no_margins_when_nothing_is_checked(matrix):
+    rep = sl.eigen_spectrum(AssembledOperator(matrix=matrix, route="logkernel"))
+    assert not {"residual_rel", "bisection_gap_rel", "checked_range"} & rep.metadata.keys()
 
 
 def _circle_op():
@@ -267,6 +297,41 @@ def test_blocked_back_transform_matches_per_reflector(kind, n):
     t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-13
     assert np.abs(q.conj().T @ m @ q - t).max() <= 1e-12 * np.abs(m).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_back_transform_of_one_column(n):
+    # no reflector (n = 1) and a single one (n = 2)
+    m = _hermitian("complex", n)
+    c, d, e, tau = spectral._tridiagonalize(np.array(m, order="F"))
+    z = np.random.default_rng(0).standard_normal((n, 1))
+    want = _per_reflector_back_transform(c, tau, z)
+    got = spectral._back_transform(c, tau, z)
+    assert got.shape == (n, 1)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# numpy and scipy link separate OpenBLAS builds, each with its own thread
+# pool; a numpy product next to scipy's LAPACK leaves numpy's threads
+# spinning on the cores that LAPACK runs on
+NUMPY_BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+@pytest.mark.parametrize("module", [spectral, operators], ids=["spectral", "operators"])
+def test_dense_products_run_through_scipys_blas_only(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.func.attr in NUMPY_BLAS_CALLS
+    )
+    assert found == []
 
 
 # -- counting -------------------------------------------------------------------
