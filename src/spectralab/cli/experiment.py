@@ -231,12 +231,13 @@ _DENSITY_KEYS = {"default": (), "constant": (), "expression": ("expr",), "file":
 def _resolve_density(
     cfg: ExperimentConfig, mu: measures.PointCloudMeasure, default: measures.SignedDensity
 ) -> measures.SignedDensity:
-    """The configured density on the atoms; ConfigError if it is zero on every atom."""
+    """The configured density on the atoms; ConfigError if it is not finite on
+    some atom or zero on every atom."""
     kind = cfg.density.get("kind", "default")
     if kind == "default":
-        v = default
+        vals = default.values
     elif kind == "constant":
-        v = measures.SignedDensity(np.full(mu.atom_count, float(cfg.density.get("value", 1.0))))
+        vals = np.full(mu.atom_count, float(cfg.density.get("value", 1.0)))
     elif kind == "expression":
         env = {"pi": math.pi}
         names = ["x", "y", "z"]
@@ -244,8 +245,15 @@ def _resolve_density(
             env[f"x{ax}"] = mu.positions[:, ax]
             if ax < len(names):
                 env[names[ax]] = mu.positions[:, ax]
-        vals = _eval_density(_parse_density(cfg.density["expr"]), env)
-        v = measures.SignedDensity(np.broadcast_to(vals, (mu.atom_count,)).astype(float))
+        node = _parse_density(cfg.density["expr"])
+        # a log of zero or an overflow is reported below, not as a warning;
+        # Python scalars raise instead (1 / 0, 10.0 ** 400)
+        try:
+            with np.errstate(all="ignore"):
+                vals = _eval_density(node, env)
+        except ArithmeticError as exc:
+            raise ConfigError(f"density expression {cfg.density['expr']!r} fails: {exc}") from exc
+        vals = np.broadcast_to(vals, (mu.atom_count,)).astype(float)
     else:
         try:
             vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
@@ -253,10 +261,12 @@ def _resolve_density(
             raise ConfigError(f"density file not found: {cfg.density['path']}") from exc
         if len(vals) != mu.atom_count:
             raise ConfigError(f"density file holds {len(vals)} values for {mu.atom_count} atoms")
-        v = measures.SignedDensity(vals)
-    if not np.any(v.values):
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise ConfigError(f"the {kind} density is not finite on {bad} of {mu.atom_count} atoms")
+    if not np.any(vals):
         raise ConfigError(f"the {kind} density is zero on every atom")
-    return v
+    return default if kind == "default" else measures.SignedDensity(vals)
 
 
 # The keys each operator route reads, besides "route".

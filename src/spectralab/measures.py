@@ -856,7 +856,10 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
     next to them.  The lines are read through readline, which keeps
     f.tell() valid for _rows_follow."""
     with open(path) as f:
-        first = f.readline().split()
+        header = f.readline()
+        first = header.split()
+        if len(first) != 3:
+            raise ValueError(f"{path}: the header line {header.strip()!r} must be 'N n_components total_mass'")
         ambient, ncomp = int(first[0]), int(first[1])
         total = float(first[2])
         comps = []

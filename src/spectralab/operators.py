@@ -58,8 +58,8 @@ _HUGE_PAGE = 2**21
 _PRIVATE = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
-def _mapped_matrix(n: int, dtype=float) -> np.ndarray:
-    """A zero n x n C-order array in its own private anonymous mapping,
+def _mapped_matrix(n: int) -> np.ndarray:
+    """A zero n x n C-order float64 array in its own private anonymous mapping,
     unmapped when its last view dies.  Every dense operator matrix is
     allocated here.  A heap allocation of the same size could stay resident
     after it is freed: glibc raises its mmap threshold to the size of the
@@ -71,14 +71,13 @@ def _mapped_matrix(n: int, dtype=float) -> np.ndarray:
     page faults.  It then starts on a huge-page boundary, and only its
     whole huge pages are advised, so that a partly used huge page never
     adds to the resident size."""
-    dtype = np.dtype(dtype)
-    nbytes = n * n * dtype.itemsize
+    nbytes = 8 * n * n
     huge = nbytes - nbytes % _HUGE_PAGE
     buf = mmap.mmap(-1, max(nbytes + (_HUGE_PAGE if huge else 0), 1), **_PRIVATE)
     start = -np.frombuffer(buf, np.uint8, count=1).ctypes.data % _HUGE_PAGE if huge else 0
     if huge and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE, start, huge)
-    return np.frombuffer(buf, dtype, count=n * n, offset=start).reshape(n, n)
+    return np.frombuffer(buf, float, count=n * n, offset=start).reshape(n, n)
 
 
 def _block_rows(n: int) -> int:
@@ -87,15 +86,15 @@ def _block_rows(n: int) -> int:
 
 
 def _mirror_lower(m: np.ndarray) -> None:
-    """m's strict upper triangle <- the conjugate transpose of its strict
-    lower one, in blocks of _MIRROR_ROWS rows; the diagonal is not read."""
+    """m's strict upper triangle <- the transpose of its strict lower one,
+    in blocks of _MIRROR_ROWS rows; the diagonal is not read."""
     n = m.shape[0]
     for i0 in range(0, n, _MIRROR_ROWS):
         i1 = min(i0 + _MIRROR_ROWS, n)
         block = m[i0:i1, i0:i1]
         upper = np.triu_indices(i1 - i0, 1)
-        block[upper] = block.T[upper].conj()
-        m[i0:i1, i1:] = m[i1:, i0:i1].T.conj()
+        block[upper] = block.T[upper]
+        m[i0:i1, i1:] = m[i1:, i0:i1].T
 
 
 def log_kernel_coefficient(ambient_dim: int) -> float:
@@ -121,7 +120,7 @@ class LogKernelSpec:
 
 
 def _check_self_adjoint(m: np.ndarray) -> None:
-    """Raise unless m == m^H exactly, comparing row blocks of the upper
+    """Raise unless m == m^T exactly, comparing row blocks of the upper
     triangle with the matching column blocks so that no n x n temporary is
     formed.  A NaN or an infinity anywhere is a SolverError."""
     n = m.shape[0]
@@ -131,7 +130,7 @@ def _check_self_adjoint(m: np.ndarray) -> None:
         rows, cols = m[i0:i1, i0:], m[i0:, i0:i1]
         # a NaN or an infinity makes dev NaN or infinite, never 0 (inf - inf is NaN)
         with np.errstate(invalid="ignore"):
-            dev = float(np.abs(rows - cols.T.conj()).max())
+            dev = float(np.abs(rows - cols.T).max())
         if dev != 0:
             if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
                 raise SolverError("operator matrix has non-finite entries")
@@ -140,11 +139,13 @@ def _check_self_adjoint(m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class AssembledOperator:
-    """Dense self-adjoint matrix discretizing T, with provenance metadata.
+    """Dense real symmetric matrix discretizing T, with provenance metadata.
 
-    The matrix must equal its conjugate transpose exactly and be finite.  It
-    is kept as a writable C-contiguous array: the caller's own array where
-    that is one (a read-only one is made writable), else a copy.
+    The matrix must equal its transpose exactly and be finite.  A complex
+    matrix is a ValueError; any other real dtype is converted to float64
+    once.  It is kept as a writable C-contiguous float64 array: the caller's
+    own array where that is one (a read-only one is made writable), else a
+    copy.
     spectral.eigen_spectrum reduces it in place and restores it, so one
     operator must not be solved in two threads at once."""
 
@@ -153,7 +154,10 @@ class AssembledOperator:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix)
+        m = np.asarray(self.matrix)
+        if m.dtype.kind == "c":
+            raise ValueError(f"operator matrix must be real, not {m.dtype}")
+        m = np.ascontiguousarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError("operator matrix must be square and nonempty")
         if not m.flags.writeable:
@@ -601,17 +605,15 @@ def _lower_rows(n: int):
 
 
 def save_operator(op: AssembledOperator, path) -> None:
-    """Binary layout: magic, version, dtype flag, size, then the row-major
-    lower triangle (real, or interleaved re/im); metadata in a JSON sidecar.
-    The triangle is written in row blocks."""
+    """Binary layout: magic, version, dtype flag (0, float64), size, then
+    the row-major lower triangle as little-endian float64; metadata in a
+    JSON sidecar.  The triangle is written in row blocks."""
     m = op.matrix
-    is_complex = np.iscomplexobj(m)
-    dtype = "<c16" if is_complex else "<f8"
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        np.array([_FORMAT_VERSION, int(is_complex), op.size], dtype="<i8").tofile(f)
+        np.array([_FORMAT_VERSION, 0, op.size], dtype="<i8").tofile(f)
         for rows, mask in _lower_rows(op.size):
-            np.asarray(m[rows][mask], dtype=dtype).tofile(f)
+            np.asarray(m[rows][mask], dtype="<f8").tofile(f)
     sidecar = {"route": op.route, "metadata": op.metadata}
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
@@ -619,18 +621,20 @@ def save_operator(op: AssembledOperator, path) -> None:
 
 def load_operator(path) -> AssembledOperator:
     """Read the format of save_operator, in row blocks, into a matrix in its
-    own mapping; the upper triangle is the conjugate of the lower one."""
+    own mapping; the upper triangle is the transpose of the lower one.  A
+    dtype flag other than 0 (float64) is a ValueError."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError("not a spectralab operator file")
-        version, is_complex, n = (int(x) for x in np.fromfile(f, dtype="<i8", count=3))
+        version, flag, n = (int(x) for x in np.fromfile(f, dtype="<i8", count=3))
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported operator format version {version}")
-        dtype = "<c16" if is_complex else "<f8"
-        m = _mapped_matrix(n, complex if is_complex else float)
+        if flag != 0:
+            raise ValueError(f"{path}: dtype flag {flag}; only float64 operators (flag 0) are read")
+        m = _mapped_matrix(n)
         for rows, mask in _lower_rows(n):
             count = int(np.count_nonzero(mask))
-            tri = np.fromfile(f, dtype=dtype, count=count)
+            tri = np.fromfile(f, dtype="<f8", count=count)
             if len(tri) != count:
                 raise ValueError(f"{path}: the operator file ends inside its matrix")
             m[rows][mask] = tri

@@ -24,7 +24,7 @@ RESIDUAL_TOL = 1e-8
 RESIDUAL_PAIRS = 5
 DEFAULT_WINDOW_FRACTIONS = (0.05, 0.25)
 PLATEAU_MIN_COUNT = 40
-# Reflectors per ?ormqr panel of the back-transform.
+# Reflectors per dormqr panel of the back-transform.
 WY_BLOCK = 32
 
 
@@ -75,20 +75,18 @@ def _lapack_info(info: int, routine: str, n: int) -> None:
 
 
 def _tridiagonalize(a: np.ndarray):
-    """Householder reduction A = Q T Q^H, lower storage (?sytrd / ?hetrd),
-    in place when `a` is a Fortran-order array of a LAPACK type.
+    """Householder reduction A = Q T Q^T, lower storage (dsytrd), in place
+    when `a` is a Fortran-order float64 array.
 
     Returns (c, d, e, tau): T's diagonal d and subdiagonal e, and the
-    reflectors H_i = I - tau_i v_i v_i^H with v_i[:i+1] = (0, ..., 0, 1) and
+    reflectors H_i = I - tau_i v_i v_i^T with v_i[:i+1] = (0, ..., 0, 1) and
     v_i[i+2:] = c[i+2:, i].  `c` is `a`, overwritten below its diagonal.
     """
-    name = "hetrd" if np.iscomplexobj(a) else "sytrd"
-    trd, trd_lwork = lapack.get_lapack_funcs((name, name + "_lwork"), (a,))
     n = a.shape[0]
-    work, info = trd_lwork(n, lower=1)
-    _lapack_info(info, trd.typecode + name + " workspace query", n)
-    c, d, e, tau, info = trd(a, lower=1, lwork=int(np.real(work)), overwrite_a=1)
-    _lapack_info(info, trd.typecode + name, n)
+    work, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_info(info, "dsytrd workspace query", n)
+    c, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=int(work), overwrite_a=1)
+    _lapack_info(info, "dsytrd", n)
     return c, d, e, tau
 
 
@@ -118,33 +116,31 @@ def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, lo: int, hi: int):
 
 def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Q z for the reduction's Q = H_0 H_1 ... H_{n-2}, applied to the k
-    columns of z by ?ormqr / ?unmqr one panel of WY_BLOCK reflectors at a
-    time, last panel first: O(n^2 k), and Q is never formed.
+    columns of z by dormqr one panel of WY_BLOCK reflectors at a time, last
+    panel first: O(n^2 k), and Q is never formed.
 
     Below row 0, c[1:, :n-1] holds the reflectors as a QR factorization
-    would, so panel [j0, j1) acts on rows j0 + 1 .. of z (LAPACK's ?ormtr
+    would, so panel [j0, j1) acts on rows j0 + 1 .. of z (LAPACK's dormtr
     does the same).  A reflector with tau = 0 is the identity to LAPACK,
     so it needs no special case.  A panel is passed as an F-order copy of
     its columns: f2py would copy a non-contiguous slice of all of c."""
     n = c.shape[0]
-    x = np.array(z, dtype=c.dtype, order="F")
-    name = "unmqr" if np.iscomplexobj(c) else "ormqr"
-    mqr = lapack.get_lapack_funcs(name, (c,))
+    x = np.array(z, order="F")
     lwork = None
     for j0 in reversed(range(0, n - 1, WY_BLOCK)):
         j1 = min(j0 + WY_BLOCK, n - 1)
         args = ("L", "N", np.array(c[j0 + 1 :, j0:j1], order="F"), tau[j0:j1], x[j0 + 1 :])
         if lwork is None:
-            work, info = mqr(*args, -1)[1:]
-            _lapack_info(info, mqr.typecode + name + " workspace query", n)
-            lwork = int(np.real(work[0]))
-        x[j0 + 1 :], _, info = mqr(*args, lwork, overwrite_c=1)
-        _lapack_info(info, mqr.typecode + name, n)
+            work, info = lapack.dormqr(*args, -1)[1:]
+            _lapack_info(info, "dormqr workspace query", n)
+            lwork = int(work[0])
+        x[j0 + 1 :], _, info = lapack.dormqr(*args, lwork, overwrite_c=1)
+        _lapack_info(info, "dormqr", n)
     return x
 
 
 def eigen_spectrum(op: AssembledOperator) -> EigenReport:
-    """Full dense self-adjoint eigensolve with a residual spot check.
+    """Full dense symmetric eigensolve with a residual spot check.
 
     One Householder reduction to a real tridiagonal T serves both steps.
     All eigenvalues come from dsterf on T.  A contiguous block of
@@ -163,10 +159,9 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     triangle, which is m's upper triangle, and the reflectors land in m's
     rows.  On return, and on any error, m is restored from its strict lower
     triangle and a saved diagonal, which is exact because AssembledOperator
-    holds only exactly self-adjoint matrices.  While the call runs the
+    holds only exactly symmetric float64 matrices.  While the call runs the
     matrix is overwritten, so two threads must not solve one operator at
-    once.  For complex Hermitian m, m.T is conj(M): T is the same, and the
-    back-transformed vectors are conjugated.
+    once.
     """
     m = op.matrix
     n = op.size
@@ -179,18 +174,16 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
         if checked:
             lo, hi = _residual_block(n, values, RESIDUAL_PAIRS)
             vals_blk, z = _tridiagonal_pairs(d, e, lo, hi)
-            vecs_blk = _back_transform(c, tau, z).conj()
+            vecs_blk = _back_transform(c, tau, z)
     finally:
         _mirror_lower(m)
         np.fill_diagonal(m, diag)
 
     metadata = dict(op.metadata)
     if checked:
-        # M q through scipy's BLAS, like every LAPACK call above: m.T is M^T
-        # in Fortran order, and trans_a=1 transposes it back without the
-        # conjugation that trans_a=2 would add
-        gemm = blas.get_blas_funcs("gemm", (m, vecs_blk))
-        resid = np.linalg.norm(gemm(1.0, m.T, vecs_blk, trans_a=1) - vecs_blk * vals_blk, axis=0)
+        # M q through scipy's BLAS, like every LAPACK call above: m.T is M
+        # in Fortran order, since M is symmetric
+        resid = np.linalg.norm(blas.dgemm(1.0, m.T, vecs_blk) - vecs_blk * vals_blk, axis=0)
         if np.any(resid > RESIDUAL_TOL * norm):
             raise SolverError(
                 f"eigenpair residual {resid.max():g} exceeds {RESIDUAL_TOL:g} * ||M|| "

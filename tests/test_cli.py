@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -405,6 +406,34 @@ def test_density_file_of_wrong_length_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
     assert "3 values for 400 atoms" in (out / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("kind", ["expression", "file"])
+def test_density_not_finite_on_some_atom_is_config_error(tmp_path, kind):
+    if kind == "expression":
+        density = {"kind": "expression", "expr": "np.log(x)"}  # NaN or -inf where x <= 0
+        count = r"\d+"
+    else:
+        values = np.ones(400)
+        values[[5, 17]] = np.nan
+        path = tmp_path / "v.txt"
+        np.savetxt(path, values)
+        density, count = {"kind": "file", "path": str(path)}, "2"
+    raw = {**SMALL_CIRCLE, "density": density, "checks": []}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    failed = (out / "FAILED").read_text()
+    assert "stage: measure" in failed
+    assert re.search(rf"the {kind} density is not finite on {count} of 400 atoms", failed)
+
+
+@pytest.mark.parametrize("expr, error", [("1 / 0 + x", "division by zero"), ("x + 10.0 ** 400", "out of range")])
+def test_density_expression_scalar_arithmetic_error_is_config_error(tmp_path, expr, error):
+    raw = {**SMALL_CIRCLE, "density": {"kind": "expression", "expr": expr}, "checks": []}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    failed = (out / "FAILED").read_text()
+    assert "stage: measure" in failed and error in failed
 
 
 def test_missing_density_file_is_config_error(tmp_path):

@@ -557,6 +557,14 @@ def test_measure_text_reader_rejects_wrong_columns(tmp_path, rows, problem):
         sl.load_measure_text(path)
 
 
+@pytest.mark.parametrize("text, header", [("", ""), ("2 1\n2 1.0\n", "2 1")], ids=["empty_file", "short_header"])
+def test_measure_text_reader_rejects_a_short_header(tmp_path, text, header):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"the header line '{header}' must be 'N n_components total_mass'"):
+        sl.load_measure_text(path)
+
+
 @pytest.mark.parametrize("components", [(), (Component(0, 0, 1.0),)], ids=["no_components", "empty_component"])
 def test_measure_text_round_trip_with_zero_atoms(tmp_path, components):
     mu = sl.PointCloudMeasure(np.zeros((0, 2)), np.zeros(0), components, 0.0)
