@@ -33,7 +33,6 @@ _EXPORTS = {
     "save_measure_text": "measures",
     "load_measure_text": "measures",
     # orlicz
-    "young_eval": "orlicz",
     "luxemburg_norm": "orlicz",
     "averaged_norm": "orlicz",
     "OrliczNormResult": "orlicz",
@@ -49,8 +48,6 @@ _EXPORTS = {
     "assemble_log_kernel": "operators",
     "assemble_log_potential": "operators",
     "assemble_steklov_circle": "operators",
-    "save_operator": "operators",
-    "load_operator": "operators",
     "log_kernel_coefficient": "operators",
     # spectral
     "EigenReport": "spectral",

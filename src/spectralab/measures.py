@@ -864,10 +864,13 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
         total = float(first[2])
         comps = []
         start = 0
-        for _ in range(ncomp):
-            cnt_s, dim_s = f.readline().split()
-            cnt = int(cnt_s)
-            comps.append(Component(start, start + cnt, float(dim_s)))
+        for k in range(1, ncomp + 1):
+            line = f.readline()
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"{path}: component line {k} {line.strip()!r} must be 'count nominal_dim'")
+            cnt = int(fields[0])
+            comps.append(Component(start, start + cnt, float(fields[1])))
             start += cnt
         expected = f"{ambient + 1} or {ambient + 2} columns (N = {ambient})"
         lines = iter(f.readline, "")

@@ -17,7 +17,6 @@ the complex Hermitian matrix on the exponentials.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import mmap
 import operator
@@ -587,63 +586,3 @@ def assemble_steklov_circle(
         },
     )
 
-
-# -- binary operator export --------------------------------------------------
-
-_MAGIC = b"SPLO"
-_FORMAT_VERSION = 1
-
-
-def _lower_rows(n: int):
-    """Row blocks of an n x n matrix m as (rows, mask): m[rows][mask] is the
-    row-major lower triangle of those rows, diagonal included, and holds at
-    most BLOCK_ELEMENTS entries."""
-    block = _block_rows(n)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        yield np.s_[i0:i1, :i1], np.tri(i1 - i0, i1, i0, dtype=bool)
-
-
-def save_operator(op: AssembledOperator, path) -> None:
-    """Binary layout: magic, version, dtype flag (0, float64), size, then
-    the row-major lower triangle as little-endian float64; metadata in a
-    JSON sidecar.  The triangle is written in row blocks."""
-    m = op.matrix
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        np.array([_FORMAT_VERSION, 0, op.size], dtype="<i8").tofile(f)
-        for rows, mask in _lower_rows(op.size):
-            np.asarray(m[rows][mask], dtype="<f8").tofile(f)
-    sidecar = {"route": op.route, "metadata": op.metadata}
-    with open(str(path) + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-
-
-def load_operator(path) -> AssembledOperator:
-    """Read the format of save_operator, in row blocks, into a matrix in its
-    own mapping; the upper triangle is the transpose of the lower one.  A
-    dtype flag other than 0 (float64) is a ValueError."""
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError("not a spectralab operator file")
-        version, flag, n = (int(x) for x in np.fromfile(f, dtype="<i8", count=3))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported operator format version {version}")
-        if flag != 0:
-            raise ValueError(f"{path}: dtype flag {flag}; only float64 operators (flag 0) are read")
-        m = _mapped_matrix(n)
-        for rows, mask in _lower_rows(n):
-            count = int(np.count_nonzero(mask))
-            tri = np.fromfile(f, dtype="<f8", count=count)
-            if len(tri) != count:
-                raise ValueError(f"{path}: the operator file ends inside its matrix")
-            m[rows][mask] = tri
-    _mirror_lower(m)
-    try:
-        with open(str(path) + ".json") as f:
-            sidecar = json.load(f)
-    except FileNotFoundError:
-        sidecar = {"route": "unknown", "metadata": {}}
-    return AssembledOperator(
-        matrix=m, route=sidecar["route"], metadata=sidecar["metadata"]
-    )

@@ -13,7 +13,6 @@ monotone root finding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,51 +52,35 @@ def _phi_unchecked(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _monotone_inverse(f, y: float) -> float:
-    """Invert a continuous increasing f with f(0) = 0 by bracket + bisection."""
-    if y < 0:
-        raise ValueError("inverse requested for a negative value")
-    if y == 0:
-        return 0.0
-    hi = 1.0
-    while f(hi) < y:
+def _bracket_root(infeasible, start: float, rtol: float) -> tuple[float, float, int]:
+    """Bracket and bisect the threshold of a test that holds below it and
+    fails above it.  hi doubles from max(start, 1e-300) until infeasible(hi)
+    fails, lo halves from hi while it fails (down to 1e-300), then bisection
+    narrows [lo, hi] until hi - lo <= rtol * hi.  Returns (lo, hi, steps),
+    steps counting the doublings, halvings and bisection steps;
+    infeasible(hi) is false.  A threshold above 1e300 is a SaturationError.
+    """
+    hi = max(start, 1e-300)
+    steps = 0
+    while infeasible(hi):
         hi *= 2.0
+        steps += 1
         if hi > 1e300:
-            raise SaturationError("inverse argument out of range")
-    lo = 0.0
+            raise SaturationError("failed to bracket an Orlicz-norm root below 1e300")
+    lo = hi
+    while not infeasible(lo) and lo > 1e-300:
+        lo *= 0.5
+        steps += 1
     for _ in range(_BISECT_MAX_ITER):
+        steps += 1
         mid = 0.5 * (lo + hi)
-        if f(mid) < y:
+        if infeasible(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12:
+        if hi - lo <= rtol * hi:
             break
-    return 0.5 * (lo + hi)
-
-
-def psi_inverse(y: float) -> float:
-    return _monotone_inverse(lambda t: float(psi(t)), y)
-
-
-def phi_inverse(y: float) -> float:
-    # For the bracket, phi(t) <= e^t, so t >= log(y) is reached quickly.
-    return _monotone_inverse(lambda t: float(phi(t)), y)
-
-
-def young_eval(which: str, t: float) -> float:
-    """Evaluate psi, phi, or their inverses at a nonnegative argument."""
-    if t < 0:
-        raise ValueError("Young functions are evaluated at t >= 0")
-    table = {
-        "psi": lambda: float(psi(t)),
-        "phi": lambda: float(phi(t)),
-        "psi_inverse": lambda: psi_inverse(t),
-        "phi_inverse": lambda: phi_inverse(t),
-    }
-    if which not in table:
-        raise ValueError(f"unknown Young function {which!r}")
-    return table[which]()
+    return lo, hi, steps
 
 
 @dataclass(frozen=True)
@@ -139,29 +122,9 @@ def luxemburg_norm(
     def modular(s: float) -> float:
         return float(np.sum(w * func(v / s)))
 
-    hi = max(float(v.max()), 1e-300)
-    it = 0
-    while modular(hi) > 1.0:
-        hi *= 2.0
-        it += 1
-        if it > 200:
-            raise SaturationError("failed to bracket the Luxemburg norm from above")
-    lo = hi
-    while modular(lo) <= 1.0 and lo > 1e-300:
-        lo *= 0.5
-        it += 1
-    for _ in range(_BISECT_MAX_ITER):
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-15 * hi:
-            break
-    value = hi  # feasible endpoint of the bracket
-    residual = abs(modular(value) - 1.0)
-    return OrliczNormResult(float(value), it, float(residual))
+    _, value, steps = _bracket_root(lambda s: modular(s) > 1.0, float(v.max()), 1e-15)
+    residual = abs(modular(value) - 1.0)  # value is the feasible endpoint
+    return OrliczNormResult(float(value), steps, float(residual))
 
 
 def averaged_norm(
@@ -198,22 +161,7 @@ def averaged_norm(
         r = np.minimum(v / lam, 1e300)
         return float(np.sum(w * (r - np.log1p(r))))
 
-    hi = max(float(v.max()), 1e-300)
-    while constraint(hi) > mass:
-        hi *= 2.0
-        if hi > 1e300:
-            raise SaturationError("failed to bracket the averaged-norm multiplier")
-    lo = hi
-    while constraint(lo) <= mass and lo > 1e-300:
-        lo *= 0.5
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > mass:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-14 * hi:
-            break
+    lo, hi, _ = _bracket_root(lambda lam: constraint(lam) > mass, float(v.max()), 1e-14)
     lam = 0.5 * (lo + hi)
     g = np.log1p(v / lam)
     return float(np.sum(w * v * g))

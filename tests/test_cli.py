@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spectralab
 from spectralab import measures, operators, spectral
 from spectralab.cli.experiment import ExperimentConfig, _resolve_density, run_experiment
 from spectralab.cli.main import main
@@ -257,6 +258,15 @@ def test_threads_flag_overrides_inherited_blas_variables(monkeypatch):
     monkeypatch.setenv("SPECTRALAB_THREADS", "3")
     assert main(["list-scenarios"]) == 0
     assert all(os.environ[var] == "3" for var in BLAS_THREAD_VARS)
+
+
+def test_every_lazy_export_resolves():
+    # the package imports its modules on first use, so a name left in the
+    # table after its function goes fails only when someone reaches for it
+    listed = dir(spectralab)
+    for name, module in spectralab._EXPORTS.items():
+        assert getattr(spectralab, name) is getattr(getattr(spectralab, module), name)
+        assert name in listed
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -565,6 +565,18 @@ def test_measure_text_reader_rejects_a_short_header(tmp_path, text, header):
         sl.load_measure_text(path)
 
 
+@pytest.mark.parametrize(
+    "text, k, line",
+    [("2 1 1.0\n", 1, ""), ("2 1 1.0\n3\n", 1, "3"), ("2 2 1.0\n1 1.0\n1 1.0 0.5\n0 0 1\n", 2, "1 1.0 0.5")],
+    ids=["file_ends", "one_field", "three_fields"],
+)
+def test_measure_text_reader_rejects_a_bad_component_line(tmp_path, text, k, line):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"m.txt: component line {k} '{line}' must be 'count nominal_dim'"):
+        sl.load_measure_text(path)
+
+
 @pytest.mark.parametrize("components", [(), (Component(0, 0, 1.0),)], ids=["no_components", "empty_component"])
 def test_measure_text_round_trip_with_zero_atoms(tmp_path, components):
     mu = sl.PointCloudMeasure(np.zeros((0, 2)), np.zeros(0), components, 0.0)

@@ -488,76 +488,6 @@ def test_operator_keeps_the_callers_buffer():
     assert op.matrix is m and op.matrix.flags.writeable
 
 
-# -- export ----------------------------------------------------------------------------
-
-
-def test_operator_binary_round_trip_real(tmp_path):
-    mu, v = sl.builtin_measure("segment", {"atoms": 50})
-    op = sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
-    path = tmp_path / "op.bin"
-    sl.save_operator(op, path)
-    back = sl.load_operator(path)
-    assert np.array_equal(back.matrix, op.matrix)
-    assert back.route == op.route
-    assert back.metadata["kernel_choice"] == "bessel_exact_N2"
-
-
-def _reference_operator_bytes(m):
-    # the layout through index arrays: header, then the row-major lower triangle
-    n = m.shape[0]
-    head = b"SPLO" + np.array([1, 0, n], dtype="<i8").tobytes()
-    return head + m[np.tril_indices(n)].astype("<f8").tobytes()
-
-
-@pytest.mark.parametrize("kind", ["real", "int64"])
-def test_operator_file_bytes_and_working_set(tmp_path, kind):
-    # n = 1000: many row blocks; the index arrays of the whole triangle alone
-    # would take as much memory as the matrix.  An int64 matrix is held, and
-    # written, as float64.
-    rng = np.random.default_rng(8)
-    n = 1000
-    a = rng.standard_normal((n, n))
-    if kind == "int64":
-        a = np.round(1e6 * a).astype(np.int64)
-    lower = np.tril(a, -1)
-    op = sl.AssembledOperator(matrix=lower + lower.T + np.diag(a.diagonal()), route="fourier")
-    assert op.matrix.dtype == np.float64
-    path = tmp_path / "op.bin"
-    tracemalloc.start()
-    try:
-        sl.save_operator(op, path)
-        saved = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        back = sl.load_operator(path)
-        loaded = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.read_bytes() == _reference_operator_bytes(op.matrix)
-    assert back.matrix.tobytes() == op.matrix.tobytes()
-    assert saved < 0.1 * op.matrix.nbytes
-    assert loaded < 0.1 * op.matrix.nbytes
-
-
-def test_load_operator_rejects_a_truncated_file(tmp_path):
-    mu, v = sl.builtin_measure("segment", {"atoms": 300})
-    path = tmp_path / "op.bin"
-    sl.save_operator(sl.assemble_log_kernel(mu, v), path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="ends inside its matrix"):
-        sl.load_operator(path)
-
-
-def test_load_operator_rejects_a_complex_dtype_flag(tmp_path):
-    # flag 1 marks a complex matrix, which no operator holds
-    path = tmp_path / "op.bin"
-    sl.save_operator(sl.AssembledOperator(matrix=np.eye(3), route="steklov"), path)
-    data = bytearray(path.read_bytes())
-    data[12:20] = np.array([1], dtype="<i8").tobytes()
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="dtype flag 1"):
-        sl.load_operator(path)
-
-
 # -- Fourier coefficient sums ------------------------------------------------------
 
 
