@@ -43,7 +43,6 @@ _EXPORTS = {
     "TracePrediction": "coeffs",
     # operators
     "AssembledOperator": "operators",
-    "LogKernelSpec": "operators",
     "assemble_fourier_bs": "operators",
     "assemble_log_kernel": "operators",
     "assemble_log_potential": "operators",

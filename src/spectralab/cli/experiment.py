@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError(f"{kind} density needs {', '.join(missing)}")
         if kind == "constant" and not _is_number(self.density.get("value", 1.0)):
             raise ConfigError(f"constant density value must be a real number, not {self.density['value']!r}")
+        if kind == "expression":
+            _expression_values(self.density["expr"], np.empty((0, ambient_dim)))
         for check in self.checks:
             _validate_check(check, self)
 
@@ -193,8 +195,9 @@ def _parse_density(expr) -> ast.Expression:
 def _eval_density(node: ast.AST, env: dict):
     """Evaluate a parsed density expression, allowing only arithmetic, unary
     signs, single comparisons, int and float literals, the names in `env`, and
-    calls `np.<ufunc>(...)` with one positional argument per ufunc input.
-    Anything else raises ConfigError before it runs."""
+    calls `np.<ufunc>(...)` of a single-output ufunc with one positional
+    argument per ufunc input.  Anything else raises ConfigError before it
+    runs."""
     if isinstance(node, ast.Expression):
         return _eval_density(node.body, env)
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -218,10 +221,32 @@ def _eval_density(node: ast.AST, env: dict):
         and node.func.value.id == "np"
         and isinstance(getattr(np, node.func.attr, None), np.ufunc)
         and len(node.args) == getattr(np, node.func.attr).nin
+        and getattr(np, node.func.attr).nout == 1
         and not node.keywords
     ):
         return getattr(np, node.func.attr)(*(_eval_density(a, env) for a in node.args))
     raise ConfigError(f"density expression may not contain {ast.unparse(node)!r}")
+
+
+def _expression_values(expr, positions: np.ndarray) -> np.ndarray:
+    """A density expression at the atoms, positions (n, N), as n floats, with
+    the coordinates named x0, x1, ... and x, y, z.  validate() calls it on
+    zero atoms, so that every fault that does not depend on the atoms is a
+    ConfigError there."""
+    env = {"pi": math.pi}
+    for ax, column in enumerate(positions.T):
+        env[f"x{ax}"] = column
+        if ax < 3:
+            env["xyz"[ax]] = column
+    node = _parse_density(expr)
+    # a log of zero or an overflow is reported by _resolve_density, not as a
+    # warning; Python scalars raise instead (1 / 0, 10.0 ** 400), and so does
+    # a ufunc given types it does not take
+    try:
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(_eval_density(node, env), (len(positions),)).astype(float)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"density expression {expr!r} fails: {exc}") from exc
 
 
 # Density kind -> the keys it needs.
@@ -239,21 +264,7 @@ def _resolve_density(
     elif kind == "constant":
         vals = np.full(mu.atom_count, float(cfg.density.get("value", 1.0)))
     elif kind == "expression":
-        env = {"pi": math.pi}
-        names = ["x", "y", "z"]
-        for ax in range(mu.ambient_dim):
-            env[f"x{ax}"] = mu.positions[:, ax]
-            if ax < len(names):
-                env[names[ax]] = mu.positions[:, ax]
-        node = _parse_density(cfg.density["expr"])
-        # a log of zero or an overflow is reported below, not as a warning;
-        # Python scalars raise instead (1 / 0, 10.0 ** 400)
-        try:
-            with np.errstate(all="ignore"):
-                vals = _eval_density(node, env)
-        except ArithmeticError as exc:
-            raise ConfigError(f"density expression {cfg.density['expr']!r} fails: {exc}") from exc
-        vals = np.broadcast_to(vals, (mu.atom_count,)).astype(float)
+        vals = _expression_values(cfg.density["expr"], mu.positions)
     else:
         try:
             vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
@@ -271,10 +282,10 @@ def _resolve_density(
 
 # The keys each operator route reads, besides "route".
 _ROUTE_KEYS = {
-    "fourier": {"L", "K", "budget"},
-    "steklov": {"K", "zero_mode", "center", "budget"},
-    "logkernel": {"kernel", "log_coefficient", "diagonal_rule"},
-    "logpotential": {"diagonal_rule"},
+    "fourier": {"L", "K"},
+    "steklov": {"K", "zero_mode", "center"},
+    "logkernel": {"kernel"},
+    "logpotential": set(),
 }
 
 
@@ -290,36 +301,31 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
     if unknown:
         raise ConfigError(
             f"{route} operator has no parameter {', '.join(map(repr, unknown))}; "
-            f"it takes {', '.join(sorted(_ROUTE_KEYS[route]))}"
+            f"it takes {', '.join(sorted(_ROUTE_KEYS[route])) or 'none'}"
         )
-    planar = route == "steklov" or (route == "logkernel" and op_cfg.get("kernel") == "bessel_exact_N2")
+    kernel = op_cfg.get("kernel", "pure_log")
+    planar = route == "steklov" or (route == "logkernel" and kernel == "bessel_exact_N2")
     if planar and ambient_dim != 2:
         raise ConfigError(f"operator {op_cfg} needs a measure in the plane, not in R^{ambient_dim}")
     try:
-        budget = int(op_cfg.get("budget", operators.DEFAULT_MATRIX_BUDGET))
         if route == "fourier":
             L, K = float(op_cfg["L"]), op_cfg["K"]
-            operators.fourier_mode_count(K, ambient_dim, budget)
-            return lambda mu, v: operators.assemble_fourier_bs(mu, v, L=L, K=K, matrix_budget=budget)
+            operators.fourier_mode_count(K, ambient_dim)
+            return lambda mu, v: operators.assemble_fourier_bs(mu, v, L=L, K=K)
         if route == "steklov":
             K, zero_mode = op_cfg["K"], op_cfg.get("zero_mode", "drop")
-            operators.steklov_modes(K, zero_mode, budget)
+            operators.steklov_modes(K, zero_mode)
             center = tuple(op_cfg.get("center", (0.0, 0.0)))
-            return lambda mu, v: operators.assemble_steklov_circle(
-                mu, v, K=K, zero_mode=zero_mode, center=center, matrix_budget=budget
-            )
-        spec = operators.LogKernelSpec(
-            kernel_choice=op_cfg.get("kernel", "pure_log"),
-            log_coefficient=op_cfg.get("log_coefficient"),
-            diagonal_rule=op_cfg.get("diagonal_rule", "cell_average"),
-        )
+            return lambda mu, v: operators.assemble_steklov_circle(mu, v, K=K, zero_mode=zero_mode, center=center)
     except KeyError as exc:
         raise ConfigError(f"{route} operator needs {exc}") from exc
     except (ValueError, TypeError, BudgetError) as exc:
         raise ConfigError(f"{route} operator {op_cfg}: {exc}") from exc
-    if route == "logkernel":
-        return lambda mu, v: operators.assemble_log_kernel(mu, v, spec)
-    return lambda mu, v: operators.assemble_log_potential(mu, v, diagonal_rule=spec.diagonal_rule)
+    if route == "logpotential":
+        return lambda mu, v: operators.assemble_log_potential(mu, v)
+    if kernel not in operators.KERNELS:
+        raise ConfigError(f"{route} operator {op_cfg}: unknown kernel {kernel!r}; the kernels are {', '.join(operators.KERNELS)}")
+    return lambda mu, v: operators.assemble_log_kernel(mu, v, kernel)
 
 
 def _fit_entry(fit: Callable, report: spectral.EigenReport, sign: str, window) -> dict | None:

@@ -26,21 +26,8 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "circle", "params": {"atoms": 2000, "radius": 1.0}},
         "density": {"kind": "default"},
-        "operator": {
-            "route": "logkernel",
-            "kernel": "bessel_exact_N2",
-            "diagonal_rule": "cell_average",
-        },
-        "variants": [
-            {
-                "label": "pure_log",
-                "operator": {
-                    "route": "logkernel",
-                    "kernel": "pure_log",
-                    "diagonal_rule": "cell_average",
-                },
-            }
-        ],
+        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
+        "variants": [{"label": "pure_log", "operator": {"route": "logkernel", "kernel": "pure_log"}}],
         "analysis": {"window": [100, 500]},
         "checks": [
             {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.05},
@@ -60,11 +47,7 @@ SCENARIOS: dict[str, dict] = {
         "measure": {"name": "circle", "params": {"atoms": 2000, "radius": 1.0}},
         "density": {"kind": "default"},
         "operator": {"route": "fourier", "L": 8.0, "K": 40},
-        "compare": {
-            "route": "logkernel",
-            "kernel": "bessel_exact_N2",
-            "diagonal_rule": "cell_average",
-        },
+        "compare": {"route": "logkernel", "kernel": "bessel_exact_N2"},
         "analysis": {"window": [2, 16]},
         "checks": [
             {"name": "route_agreement", "kind": "route_match", "top": 30, "tol": 0.10},
@@ -77,11 +60,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "segment", "params": {"atoms": 2000, "length": 1.0}},
         "density": {"kind": "default"},
-        "operator": {
-            "route": "logkernel",
-            "kernel": "bessel_exact_N2",
-            "diagonal_rule": "cell_average",
-        },
+        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
         "analysis": {},
         "checks": [
             {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.10},
@@ -97,11 +76,7 @@ SCENARIOS: dict[str, dict] = {
             "params": {"atoms": 3000, "r1": 1.0, "r2": 0.5, "gap": 1.0},
         },
         "density": {"kind": "default"},
-        "operator": {
-            "route": "logkernel",
-            "kernel": "bessel_exact_N2",
-            "diagonal_rule": "cell_average",
-        },
+        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
         "analysis": {},
         "checks": [
             {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.10},
@@ -114,11 +89,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "half_signed_circle", "params": {"atoms": 2000, "radius": 1.0}},
         "density": {"kind": "default"},
-        "operator": {
-            "route": "logkernel",
-            "kernel": "bessel_exact_N2",
-            "diagonal_rule": "cell_average",
-        },
+        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
         "analysis": {},
         "checks": [
             {"name": "plateau_plus", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.12},
@@ -151,11 +122,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "cantor_line", "params": {"depth": 9}},
         "density": {"kind": "default"},
-        "operator": {
-            "route": "logkernel",
-            "kernel": "bessel_exact_N2",
-            "diagonal_rule": "cell_average",
-        },
+        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
         "analysis": {"order_window": [20, 400]},
         "checks": [
             {"name": "order_sharpness", "kind": "order_ratio", "sign": "+", "tol": 10.0},
@@ -203,11 +170,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "sphere", "params": {"atoms": 3000, "radius": 1.0}},
         "density": {"kind": "default"},
-        "operator": {
-            "route": "logkernel",
-            "kernel": "pure_log",
-            "diagonal_rule": "cell_average",
-        },
+        "operator": {"route": "logkernel", "kernel": "pure_log"},
         "analysis": {},
         "checks": [
             {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.15},

@@ -35,7 +35,7 @@ from .errors import (
 MASS_RTOL = 1e-12
 IFS_DIMENSION_CAP = 64.0
 IFS_RESIDUAL_TOL = 1e-12
-DEFAULT_ATOM_BUDGET = 200_000
+ATOM_BUDGET = 200_000
 REGULARITY_THRESHOLD = 50.0
 PREISS_CONSTANT = 10.0  # heuristic placeholder; the true constant is nonconstructive
 
@@ -167,43 +167,28 @@ def check_pairing(measure: PointCloudMeasure, density: SignedDensity) -> None:
         )
 
 
-ORTHOGONALITY_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class Similitude:
-    """Contractive similitude x -> h Q x + b with 0 < h < 1 and Q orthogonal."""
+    """Contractive similitude x -> h x + b with 0 < h < 1."""
 
     ratio: float
-    rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
             raise InvalidRatioError(f"contraction ratio {self.ratio} not in (0, 1)")
-        q = _readonly(np.asarray(self.rotation, dtype=float))
         b = _readonly(np.asarray(self.translation, dtype=float))
-        object.__setattr__(self, "rotation", q)
+        if b.ndim != 1:
+            raise ValueError("translation must be a vector")
         object.__setattr__(self, "translation", b)
-        n = b.shape[0]
-        if q.shape != (n, n):
-            raise ValueError("rotation must be square and match the translation")
-        if np.abs(q.T @ q - np.eye(n)).max() > ORTHOGONALITY_TOL:
-            raise ValueError("rotation matrix is not orthogonal to 1e-10")
 
     @property
     def dim(self) -> int:
         return self.translation.shape[0]
 
     def fixed_point(self) -> np.ndarray:
-        """Unique solution of x = h Q x + b (exists since h < 1)."""
-        n = self.dim
-        return np.linalg.solve(np.eye(n) - self.ratio * self.rotation, self.translation)
-
-    @staticmethod
-    def scaling(ratio: float, translation: Sequence[float]) -> "Similitude":
-        b = np.asarray(translation, dtype=float)
-        return Similitude(ratio, np.eye(len(b)), b)
+        """Unique solution of x = h x + b (exists since h < 1)."""
+        return self.translation / (1.0 - self.ratio)
 
 
 def ifs_dimension(maps: Sequence[Similitude]) -> float:
@@ -267,56 +252,49 @@ class SimilitudeSystem:
 
 def cantor_system() -> SimilitudeSystem:
     """Middle-third Cantor IFS on the line (embedded as 1-d maps)."""
-    maps = [Similitude.scaling(1 / 3, [0.0]), Similitude.scaling(1 / 3, [2 / 3])]
+    maps = [Similitude(1 / 3, [0.0]), Similitude(1 / 3, [2 / 3])]
     return SimilitudeSystem.from_maps(maps)
 
 
 def sierpinski_system(side: float = 1.0) -> SimilitudeSystem:
     """Sierpinski gasket IFS: three half-scale maps toward triangle vertices."""
     verts = np.array([[0.0, 0.0], [side, 0.0], [0.5 * side, 0.5 * math.sqrt(3) * side]])
-    maps = [Similitude.scaling(0.5, 0.5 * v) for v in verts]
+    maps = [Similitude(0.5, 0.5 * v) for v in verts]
     return SimilitudeSystem.from_maps(maps)
 
 
-def ifs_self_similar_measure(
-    system: SimilitudeSystem, depth: int, atom_budget: int = DEFAULT_ATOM_BUDGET
-) -> PointCloudMeasure:
+def ifs_self_similar_measure(system: SimilitudeSystem, depth: int) -> PointCloudMeasure:
     """Depth-k atomization of the self-similar measure of an IFS.
 
     One atom per word w = (j_1 ... j_k): its position is the composed map
     S_{j_1} o ... o S_{j_k} applied to the fixed point of S_{j_1}, its weight
     the product of the self-similar probabilities p_{j_i} = h_{j_i}^d.  The
     open set condition is assumed, not verified; weights are exact for equal
-    ratios and the natural surrogate otherwise.
+    ratios and the natural surrogate otherwise.  BudgetError past ATOM_BUDGET
+    atoms.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     m = len(system.maps)
-    if m**depth > atom_budget:
-        raise BudgetError(f"{m}^{depth} atoms exceed the budget {atom_budget}")
+    if m**depth > ATOM_BUDGET:
+        raise BudgetError(f"{m}^{depth} atoms exceed the budget {ATOM_BUDGET}")
     n = system.maps[0].dim
     probs = system.probabilities
 
-    # Left-to-right composition: keep (M, b) of the composed affine map plus
-    # the first letter of each word; extend words on the right.
-    mats = np.array([s.ratio * s.rotation for s in system.maps])  # (m, n, n)
+    # Left-to-right composition: keep (h, b) of the composed map x -> h x + b
+    # plus the first letter of each word; extend words on the right.
+    ratios = np.array([s.ratio for s in system.maps])  # (m,)
     offs = np.array([s.translation for s in system.maps])  # (m, n)
-    cur_m = mats.copy()
-    cur_b = offs.copy()
-    cur_first = np.arange(m)
-    cur_w = probs.copy()
+    cur_h, cur_b, cur_first, cur_w = ratios, offs, np.arange(m), probs
     for _ in range(depth - 1):
-        # new = old o S_j : x -> M_old (M_j x + b_j) + b_old
-        new_m = np.einsum("aij,bjk->abik", cur_m, mats).reshape(-1, n, n)
-        new_b = (
-            np.einsum("aij,bj->abi", cur_m, offs) + cur_b[:, None, :]
-        ).reshape(-1, n)
+        # new = old o S_j : x -> h_old (h_j x + b_j) + b_old
+        cur_b = (cur_h[:, None, None] * offs + cur_b[:, None, :]).reshape(-1, n)
+        cur_h = (cur_h[:, None] * ratios).ravel()
         cur_first = np.repeat(cur_first, m)
         cur_w = (cur_w[:, None] * probs[None, :]).ravel()
-        cur_m, cur_b = new_m, new_b
 
     fixed = np.array([s.fixed_point() for s in system.maps])  # (m, n)
-    pos = np.einsum("aij,aj->ai", cur_m, fixed[cur_first]) + cur_b
+    pos = cur_h[:, None] * fixed[cur_first] + cur_b
     total = float(cur_w.sum())
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"IFS weights sum to {total!r}, expected 1")
@@ -733,9 +711,9 @@ PARAM_LENGTHS = ("radius", "r1", "r2", "length", "side")
 IFS_MAPS = {"cantor_line": 2, "cantor_circle": 2, "steklov_cantor": 2, "sierpinski": 3}
 
 
-def _check_atom_budget(name: str, params: dict) -> None:
+def _check_atom_count(name: str, params: dict) -> None:
     """ScenarioError if the catalog measure would build more atoms than
-    DEFAULT_ATOM_BUDGET from its full params: `atoms`, plus `cells`^2 for a
+    ATOM_BUDGET from its full params: `atoms`, plus `cells`^2 for a
     square grid, plus maps^depth for a self-similar measure."""
     terms, count = [], 0
     if "atoms" in params:
@@ -748,9 +726,9 @@ def _check_atom_budget(name: str, params: dict) -> None:
         maps, depth = IFS_MAPS[name], params["depth"]
         terms.append(f"{maps}^{depth}")
         count += maps ** min(depth, 64)  # 2^64 is past any budget; no huge power
-    if count > DEFAULT_ATOM_BUDGET:
+    if count > ATOM_BUDGET:
         raise ScenarioError(
-            f"measure {name!r} would build {' + '.join(terms)} atoms, past the atom budget {DEFAULT_ATOM_BUDGET}"
+            f"measure {name!r} would build {' + '.join(terms)} atoms, past the atom budget {ATOM_BUDGET}"
         )
 
 
@@ -760,7 +738,7 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
     a value not of its default's type (an integer for an int default, a real
     number for a float one, never a bool), or out of range: a finite real,
     at least PARAM_MINIMUM, and positive for the PARAM_LENGTHS.  So is a
-    measure that would build more atoms than DEFAULT_ATOM_BUDGET."""
+    measure that would build more atoms than ATOM_BUDGET."""
     if name not in BUILTIN_MEASURES:
         raise ScenarioError(f"unknown measure {name!r}")
     ambient_dim, build = BUILTIN_MEASURES[name]
@@ -781,7 +759,7 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
             ok, bound = math.isfinite(value), "finite"
         if not ok:
             raise ScenarioError(f"measure {name!r} parameter {key!r} must be {bound}, not {value!r}")
-    _check_atom_budget(name, {key: p.default for key, p in known.items()} | (params or {}))
+    _check_atom_count(name, {key: p.default for key, p in known.items()} | (params or {}))
     return ambient_dim, build
 
 
@@ -841,6 +819,19 @@ def _rows_follow(f) -> bool:
             return True
 
 
+def _line_fields(line: str, types: tuple, error: str) -> list:
+    """The fields of a header or component line, each converted by its type
+    (int for a count); ValueError(error) for a wrong field count or a token
+    the type does not parse."""
+    fields = line.split()
+    if len(fields) == len(types):
+        try:
+            return [kind(field) for kind, field in zip(types, fields)]
+        except ValueError:
+            pass
+    raise ValueError(error)
+
+
 def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
     """Read the format of save_measure_text.  Every atom row must hold N + 1
     numbers (coordinates and weight) or N + 2 (and a density value), N the
@@ -857,20 +848,17 @@ def load_measure_text(path) -> tuple[PointCloudMeasure, SignedDensity | None]:
     f.tell() valid for _rows_follow."""
     with open(path) as f:
         header = f.readline()
-        first = header.split()
-        if len(first) != 3:
-            raise ValueError(f"{path}: the header line {header.strip()!r} must be 'N n_components total_mass'")
-        ambient, ncomp = int(first[0]), int(first[1])
-        total = float(first[2])
+        ambient, ncomp, total = _line_fields(
+            header, (int, int, float), f"{path}: the header line {header.strip()!r} must be 'N n_components total_mass'"
+        )
         comps = []
         start = 0
         for k in range(1, ncomp + 1):
             line = f.readline()
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"{path}: component line {k} {line.strip()!r} must be 'count nominal_dim'")
-            cnt = int(fields[0])
-            comps.append(Component(start, start + cnt, float(fields[1])))
+            cnt, dim = _line_fields(
+                line, (int, float), f"{path}: component line {k} {line.strip()!r} must be 'count nominal_dim'"
+            )
+            comps.append(Component(start, start + cnt, dim))
             start += cnt
         expected = f"{ambient + 1} or {ambient + 2} columns (N = {ambient})"
         lines = iter(f.readline, "")

@@ -39,7 +39,11 @@ from .errors import (
 )
 from .measures import PointCloudMeasure, SignedDensity, check_pairing
 
-DEFAULT_MATRIX_BUDGET = 12_000
+# Largest order of a Fourier or Steklov compression.
+MATRIX_BUDGET = 12_000
+# The log-kernel choices: the pure log kernel, and in the plane the exact
+# Bessel kernel K_0 / (2 pi) of (1 - Laplace)^{-1}.
+KERNELS = ("pure_log", "bessel_exact_N2")
 # Entries of the per-axis exponential factors of one atom chunk of the
 # Fourier coefficient sum (2^16 complex entries: 1 MB).
 FOURIER_CHUNK_ELEMENTS = 2**16
@@ -101,21 +105,6 @@ def log_kernel_coefficient(ambient_dim: int) -> float:
     omega_{N-1} / (2 pi)^N.  (At N = 2 this matches the exact Bessel kernel
     K_0 / (2 pi); the constant printed in the source would not.)"""
     return sphere_area(ambient_dim) / (2.0 * math.pi) ** ambient_dim
-
-
-@dataclass(frozen=True)
-class LogKernelSpec:
-    kernel_choice: str = "pure_log"  # pure_log | bessel_exact_N2
-    log_coefficient: float | None = None  # default omega_{N-1}/(2 pi)^N
-    diagonal_rule: str = "cell_average"  # cell_average | zero
-
-    def __post_init__(self):
-        if self.kernel_choice not in ("pure_log", "bessel_exact_N2"):
-            raise ValueError(f"unknown kernel choice {self.kernel_choice!r}")
-        if self.diagonal_rule not in ("cell_average", "zero"):
-            raise ValueError(f"unknown diagonal rule {self.diagonal_rule!r}")
-        if self.log_coefficient is not None and self.log_coefficient <= 0:
-            raise ValueError("log coefficient must be positive")
 
 
 def _check_self_adjoint(m: np.ndarray) -> None:
@@ -186,12 +175,12 @@ def _frequency_grid(K: int, n_dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def fourier_mode_count(K: int, n_dim: int, matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> int:
+def fourier_mode_count(K: int, n_dim: int) -> int:
     """(2K + 1)^N, the order of the Fourier compression at integer cutoff K;
-    BudgetError past the matrix budget."""
+    BudgetError past MATRIX_BUDGET."""
     modes = (2 * operator.index(K) + 1) ** n_dim
-    if modes > matrix_budget:
-        raise BudgetError(f"{modes} Fourier modes exceed the budget {matrix_budget}")
+    if modes > MATRIX_BUDGET:
+        raise BudgetError(f"{modes} Fourier modes exceed the budget {MATRIX_BUDGET}")
     return modes
 
 
@@ -315,7 +304,6 @@ def assemble_fourier_bs(
     density: SignedDensity,
     L: float,
     K: int,
-    matrix_budget: int = DEFAULT_MATRIX_BUDGET,
 ) -> AssembledOperator:
     """Quadratic-form compression onto torus frequencies |xi|_inf <= K.
 
@@ -326,7 +314,7 @@ def assemble_fourier_bs(
     """
     check_pairing(measure, density)
     n_dim = measure.ambient_dim
-    n_modes = fourier_mode_count(K, n_dim, matrix_budget)
+    n_modes = fourier_mode_count(K, n_dim)
     span = measure.positions.max(axis=0) - measure.positions.min(axis=0)
     if np.any(span > L / 2):
         raise SupportTooLargeError(
@@ -365,30 +353,27 @@ def _nn_distances(measure: PointCloudMeasure) -> np.ndarray:
 
 def _log_kernel_matrix(
     measure: PointCloudMeasure,
-    spec: LogKernelSpec,
+    kernel: str,
     c_log: float,
     density: SignedDensity | None = None,
 ) -> np.ndarray:
-    """The kernel k on the atoms with the diagonal rule, exactly symmetric,
-    or with a density its frame sqrt(D) k sqrt(D), D_i = w_i |V_i|.  The log
-    kernel is -c_log log r; c_log = -1 gives +log r.
+    """The kernel k on the atoms, exactly symmetric, or with a density its
+    frame sqrt(D) k sqrt(D), D_i = w_i |V_i|.  The log kernel is -c_log log r;
+    c_log = -1 gives +log r.  The diagonal is the mean of the kernel over a
+    cell of the atom's nearest-neighbour distance.
 
     Built in row blocks of the lower triangle: the distances of one block
     come from cdist, the kernel and the frame are evaluated on the block,
     and it is written to its rows and, transposed, to its columns.  An
     entry of the frame is 0.5 ((k_ij r_i) r_j + (k_ij r_j) r_i) with
     r = sqrt(D), which is the same number on both sides of the diagonal."""
-    if spec.kernel_choice == "bessel_exact_N2" and measure.ambient_dim != 2:
+    if kernel == "bessel_exact_N2" and measure.ambient_dim != 2:
         raise ValueError("bessel_exact_N2 requires ambient dimension 2")
-    nn = _nn_distances(measure)
-    if spec.diagonal_rule == "cell_average":
-        # exact 1-d cell mean of -log over a cell of width delta
-        diag = c_log * (1.0 - np.log(nn / 2.0))
-        if spec.kernel_choice == "bessel_exact_N2":
-            # K_0(r) = -log r + (log 2 - gamma) + O(r^2 log r)
-            diag = diag + c_log * (math.log(2.0) - EULER_GAMMA)
-    else:
-        diag = np.zeros(len(nn))
+    # exact 1-d cell mean of -log over a cell of width delta
+    diag = c_log * (1.0 - np.log(_nn_distances(measure) / 2.0))
+    if kernel == "bessel_exact_N2":
+        # K_0(r) = -log r + (log 2 - gamma) + O(r^2 log r)
+        diag = diag + c_log * (math.log(2.0) - EULER_GAMMA)
 
     x = measure.positions
     n = len(x)
@@ -400,8 +385,8 @@ def _log_kernel_matrix(
         i1 = min(i0 + block, n)
         on_diag = (np.arange(i1 - i0), np.arange(i0, i1))
         blk = cdist(x[i0:i1], x[:i1])
-        blk[on_diag] = 1.0  # a finite placeholder for the diagonal rule
-        if spec.kernel_choice == "bessel_exact_N2":
+        blk[on_diag] = 1.0  # a finite placeholder for the diagonal
+        if kernel == "bessel_exact_N2":
             bessel_k0(blk, out=blk)
             blk /= 2 * math.pi
         else:
@@ -448,11 +433,12 @@ def _cholesky_frame(m: np.ndarray, d: np.ndarray) -> None:
 def assemble_log_kernel(
     measure: PointCloudMeasure,
     density: SignedDensity,
-    spec: LogKernelSpec | None = None,
+    kernel: str = "pure_log",
 ) -> AssembledOperator:
     """Nystrom matrix of the log-singular K K* kernel on the atoms.
 
-    S = sqrt(D) k sqrt(D) with D_i = w_i |V_i|.  For sign-changing V the
+    k is one of KERNELS, with the log coefficient log_kernel_coefficient(N),
+    and S = sqrt(D) k sqrt(D) with D_i = w_i |V_i|.  For sign-changing V the
     returned operator is C^T diag(w V) C with k = C C^T the Cholesky
     factorization; it is similar to Sigma S with Sigma = diag(sgn V), so its
     spectrum is that of the sign-framed T by the two-sided factorization.
@@ -460,17 +446,18 @@ def assemble_log_kernel(
     DegenerateKernelError names the smallest eigenvalue of k.
     """
     check_pairing(measure, density)
-    spec = spec or LogKernelSpec()
-    c_log = spec.log_coefficient or log_kernel_coefficient(measure.ambient_dim)
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; the kernels are {', '.join(KERNELS)}")
+    c_log = log_kernel_coefficient(measure.ambient_dim)
     sign_framed = bool(np.any(density.values < 0))
     if sign_framed:
         # k is exactly symmetric, so matrix.T is k in Fortran order: factor
         # it in place (dpotrf zeroes matrix's strict lower triangle), then
         # form C^T diag(w V) C on the factor
-        matrix = _log_kernel_matrix(measure, spec, c_log)
+        matrix = _log_kernel_matrix(measure, kernel, c_log)
         if dpotrf(matrix.T, lower=1, overwrite_a=1)[1]:
             del matrix
-            kern = _log_kernel_matrix(measure, spec, c_log)
+            kern = _log_kernel_matrix(measure, kernel, c_log)
             lam = float(eigh(kern, eigvals_only=True, subset_by_index=[0, 0])[0])
             raise DegenerateKernelError(
                 f"kernel matrix is not positive definite (smallest eigenvalue "
@@ -478,14 +465,13 @@ def assemble_log_kernel(
             )
         _cholesky_frame(matrix, measure.weights * density.values)
     else:
-        matrix = _log_kernel_matrix(measure, spec, c_log, density)
+        matrix = _log_kernel_matrix(measure, kernel, c_log, density)
     return AssembledOperator(
         matrix=matrix,
         route="logkernel",
         metadata={
-            "kernel_choice": spec.kernel_choice,
+            "kernel_choice": kernel,
             "log_coefficient": c_log,
-            "diagonal_rule": spec.diagonal_rule,
             "sign_framed": sign_framed,
             "ambient_dim": measure.ambient_dim,
             "measure": measure_fingerprint(measure, density),
@@ -496,7 +482,6 @@ def assemble_log_kernel(
 def assemble_log_potential(
     measure: PointCloudMeasure,
     density: SignedDensity,
-    diagonal_rule: str = "cell_average",
 ) -> AssembledOperator:
     """Logarithmic potential f -> int log|X-Y| f(Y) P(dY) realized in L_{2,P}.
 
@@ -510,12 +495,10 @@ def assemble_log_potential(
         raise NegativeDensityError(
             "log potential needs V >= 0; use assemble_log_kernel for signed densities"
         )
-    spec = LogKernelSpec(diagonal_rule=diagonal_rule)
     return AssembledOperator(
-        matrix=_log_kernel_matrix(measure, spec, -1.0, density),
+        matrix=_log_kernel_matrix(measure, "pure_log", -1.0, density),
         route="logpotential",
         metadata={
-            "diagonal_rule": diagonal_rule,
             "ambient_dim": measure.ambient_dim,
             "measure": measure_fingerprint(measure, density),
         },
@@ -528,12 +511,10 @@ def circle_angles(measure: PointCloudMeasure, center=(0.0, 0.0)) -> np.ndarray:
     return np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * math.pi)
 
 
-def steklov_modes(
-    K: int, zero_mode: str = "drop", matrix_budget: int = DEFAULT_MATRIX_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
+def steklov_modes(K: int, zero_mode: str = "drop") -> tuple[np.ndarray, np.ndarray]:
     """The Fourier modes k kept at integer cutoff K under a zero-mode policy,
     and the multiplier b(k) at them (see assemble_steklov_circle).
-    ValueError for an unknown policy, BudgetError past the matrix budget."""
+    ValueError for an unknown policy, BudgetError past MATRIX_BUDGET."""
     K = operator.index(K)
     if zero_mode == "drop":
         modes = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
@@ -543,8 +524,8 @@ def steklov_modes(
         b = (np.abs(modes) + 1.0) ** -0.5
     else:
         raise ValueError(f"unknown zero-mode policy {zero_mode!r}")
-    if len(modes) > matrix_budget:
-        raise BudgetError(f"{len(modes)} Steklov modes exceed the budget {matrix_budget}")
+    if len(modes) > MATRIX_BUDGET:
+        raise BudgetError(f"{len(modes)} Steklov modes exceed the budget {MATRIX_BUDGET}")
     return modes, b
 
 
@@ -554,7 +535,6 @@ def assemble_steklov_circle(
     K: int,
     zero_mode: str = "drop",
     center=(0.0, 0.0),
-    matrix_budget: int = DEFAULT_MATRIX_BUDGET,
 ) -> AssembledOperator:
     """Weighted Steklov form on the unit circle over Fourier modes.
 
@@ -569,7 +549,7 @@ def assemble_steklov_circle(
     check_pairing(measure, density)
     if measure.ambient_dim != 2:
         raise ValueError("the Steklov circle operator lives in the plane")
-    modes, b = steklov_modes(K, zero_mode, matrix_budget)
+    modes, b = steklov_modes(K, zero_mode)
     theta = circle_angles(measure, center)
     F = _fourier_coefficients(
         theta[:, None], measure.weights * density.values, 2 * math.pi, K

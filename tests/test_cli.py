@@ -293,11 +293,14 @@ def test_density_expressions_match_numpy():
 @pytest.mark.parametrize(
     "expr", ["().__class__.__bases__", "__import__('os').getcwd()", "np.add(x, y, x)"]
 )
-def test_density_expression_outside_whitelist_is_config_error(tmp_path, expr):
+def test_density_expression_outside_whitelist_is_config_error(tmp_path, expr, capsys):
     raw = {**SMALL_CIRCLE, "density": {"kind": "expression", "expr": expr}}
+    path = _write_config(tmp_path, raw)
+    assert main(["validate", str(path)]) == 2
     out = tmp_path / "out"
-    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
-    assert "density expression may not contain" in (out / "FAILED").read_text()
+    assert main(["--out", str(out), "run", str(path)]) == 2
+    assert not out.exists()
+    assert "density expression may not contain" in capsys.readouterr().err
 
 
 def _check_config(scenario, check):
@@ -353,6 +356,15 @@ MALFORMED = {
     "negative_depth": {"scenario": "cantor_line", "measure": {"params": {"depth": -1}}},
     "ifs_depth_past_atom_budget": {"scenario": "cantor_line", "measure": {"params": {"depth": 30}}},
     "atom_count_past_atom_budget": {"scenario": "circle", "measure": {"params": {"atoms": 1_000_000_000}}},
+    "diagonal_rule_on_a_nystrom_route": {"scenario": "circle", "operator": {"diagonal_rule": "cell_average"}},
+    "budget_on_a_toeplitz_route": {"scenario": "steklov_lebesgue", "operator": {"budget": 40}},
+    "two_output_ufunc_divmod": {"scenario": "circle", "density": {"kind": "expression", "expr": "np.divmod(x, 1.0)"}},
+    "two_output_ufunc_frexp": {"scenario": "circle", "density": {"kind": "expression", "expr": "np.frexp(x)"}},
+    "two_output_ufunc_modf": {"scenario": "circle", "density": {"kind": "expression", "expr": "np.modf(x)"}},
+    "unfinished_expression": {"scenario": "circle", "density": {"kind": "expression", "expr": "x +"}},
+    "ufunc_of_the_wrong_type": {"scenario": "circle", "density": {"kind": "expression", "expr": "np.bitwise_and(x, 1)"}},
+    "coordinate_past_the_plane": {"scenario": "circle", "density": {"kind": "expression", "expr": "1 + z"}},
+    "coordinate_past_the_sphere_space": {"scenario": "sphere", "density": {"kind": "expression", "expr": "1 + x3"}},
 }
 
 
@@ -364,6 +376,12 @@ def test_malformed_config_rejected_before_any_output(tmp_path, raw, capsys):
     assert main(["--out", str(out), "run", str(path)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+def test_density_expression_is_validated_in_the_measure_dimension():
+    # z and x2 exist in R^3 only (see coordinate_past_the_plane above)
+    cfg = ExperimentConfig.from_dict({"scenario": "sphere", "density": {"kind": "expression", "expr": "1 + z * x2"}})
+    assert cfg.density["expr"] == "1 + z * x2"
 
 
 @pytest.mark.parametrize(
@@ -381,7 +399,7 @@ def test_operator_override_of_another_route_replaces_the_scenario_operator():
     replaced = ExperimentConfig.from_dict({"scenario": "circle", "operator": {"route": "logpotential"}})
     assert replaced.operator == {"route": "logpotential"}
     merged = ExperimentConfig.from_dict({"scenario": "circle", "operator": {"kernel": "pure_log"}})
-    assert merged.operator == {"route": "logkernel", "kernel": "pure_log", "diagonal_rule": "cell_average"}
+    assert merged.operator == {"route": "logkernel", "kernel": "pure_log"}
 
 
 def test_every_scenario_and_config_validates():
@@ -438,12 +456,10 @@ def test_density_not_finite_on_some_atom_is_config_error(tmp_path, kind):
 
 
 @pytest.mark.parametrize("expr, error", [("1 / 0 + x", "division by zero"), ("x + 10.0 ** 400", "out of range")])
-def test_density_expression_scalar_arithmetic_error_is_config_error(tmp_path, expr, error):
+def test_density_expression_scalar_arithmetic_error_is_config_error(tmp_path, expr, error, capsys):
     raw = {**SMALL_CIRCLE, "density": {"kind": "expression", "expr": expr}, "checks": []}
-    out = tmp_path / "out"
-    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
-    failed = (out / "FAILED").read_text()
-    assert "stage: measure" in failed and error in failed
+    assert main(["validate", str(_write_config(tmp_path, raw))]) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_missing_density_file_is_config_error(tmp_path):
@@ -456,10 +472,10 @@ def test_missing_density_file_is_config_error(tmp_path):
 
 def test_log_potential_route_runs_the_library_assembly(tmp_path):
     raw = {"scenario": "circle", "measure": {"params": {"atoms": 300}}, "variants": [], "checks": [],
-           "operator": {"route": "logpotential", "diagonal_rule": "zero"}, "analysis": {"window": [5, 20]}}
+           "operator": {"route": "logpotential"}, "analysis": {"window": [5, 20]}}
     report = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "out")
     mu, v = measures.builtin_measure("circle", {"atoms": 300})
-    direct = spectral.eigen_spectrum(operators.assemble_log_potential(mu, v, diagonal_rule="zero"))
+    direct = spectral.eigen_spectrum(operators.assemble_log_potential(mu, v))
     assert report.eigen_primary.route == "logpotential"
     assert np.array_equal(report.eigen_primary.positive, direct.positive)
     assert np.array_equal(report.eigen_primary.negative, direct.negative)
@@ -482,18 +498,32 @@ def test_each_operator_is_freed_before_the_next_is_built(tmp_path, monkeypatch):
     assert set(report.spectral_summary["variants"]) == {"pure_log"}
 
 
-def test_steklov_budget_counts_the_kept_modes(tmp_path):
-    # dropping the zero mode keeps 2K = 40 modes, within a budget of 40
+def test_steklov_budget_counts_the_kept_modes(tmp_path, monkeypatch):
+    # at K = 6000, dropping the zero mode keeps 2K = 12000 modes, within the
+    # budget of 12000; the shift policy keeps 2K + 1 = 12001
+    assemble, cutoffs = operators.assemble_steklov_circle, []
+
+    def tracked(*args, **kwargs):
+        cutoffs.append(kwargs["K"])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "assemble_steklov_circle", tracked)
     raw = {
         "scenario": "steklov_lebesgue",
-        "operator": {"K": 20, "budget": 40},
+        "operator": {"K": 6000, "zero_mode": "drop"},
         "variants": [],
         "checks": [{"name": "diagonal_exact", "kind": "steklov_diagonal", "tol": 1e-12}],
     }
-    path = _write_config(tmp_path, raw)
-    assert main(["validate", str(path)]) == 0
+    assert operators.MATRIX_BUDGET == 12_000
+    assert main(["validate", str(_write_config(tmp_path, raw, "drop.json"))]) == 0
+    shift = {**raw, "operator": {"K": 6000, "zero_mode": "shift"}}
+    assert main(["validate", str(_write_config(tmp_path, shift, "shift.json"))]) == 2
+    assert cutoffs == []  # validation assembles nothing
+
+    path = _write_config(tmp_path, {**raw, "operator": {"K": 20}})
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", str(path)]) == 0
+    assert cutoffs == [20]
     assert json.loads((out / "summary.json").read_text())["spectral"]["primary"]["size"] == 40
 
 

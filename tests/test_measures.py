@@ -32,14 +32,14 @@ LN2_LN3 = math.log(2) / math.log(3)
 
 
 def test_ifs_dimension_closed_forms():
-    cantor = [sl.Similitude.scaling(1 / 3, [0.0]), sl.Similitude.scaling(1 / 3, [2 / 3])]
+    cantor = [sl.Similitude(1 / 3, [0.0]), sl.Similitude(1 / 3, [2 / 3])]
     assert sl.ifs_dimension(cantor) == pytest.approx(LN2_LN3, abs=1e-12)
 
-    triple = [sl.Similitude.scaling(1 / 2, [float(j)]) for j in range(3)]
+    triple = [sl.Similitude(1 / 2, [float(j)]) for j in range(3)]
     assert sl.ifs_dimension(triple) == pytest.approx(math.log(3) / math.log(2), abs=1e-12)
 
     # x + x^2 = 1 with x = 2^-d gives d = log2((sqrt 5 + 1) / 2)
-    mixed = [sl.Similitude.scaling(1 / 2, [0.0]), sl.Similitude.scaling(1 / 4, [1.0])]
+    mixed = [sl.Similitude(1 / 2, [0.0]), sl.Similitude(1 / 4, [1.0])]
     expected = math.log2((math.sqrt(5) + 1) / 2)
     assert sl.ifs_dimension(mixed) == pytest.approx(expected, abs=1e-12)
 
@@ -48,16 +48,16 @@ def test_ifs_dimension_residual_property():
     rng = np.random.default_rng(7)
     for _ in range(20):
         ratios = rng.uniform(0.2, 0.8, size=rng.integers(2, 5))
-        maps = [sl.Similitude.scaling(h, [0.0]) for h in ratios]
+        maps = [sl.Similitude(h, [0.0]) for h in ratios]
         d = sl.ifs_dimension(maps)
         assert abs(np.sum(ratios**d) - 1.0) <= 1e-12
 
 
 def test_ifs_dimension_errors():
     with pytest.raises(DegenerateSystemError):
-        sl.ifs_dimension([sl.Similitude.scaling(0.5, [0.0])])
+        sl.ifs_dimension([sl.Similitude(0.5, [0.0])])
     with pytest.raises(InvalidRatioError):
-        sl.Similitude.scaling(1.2, [0.0])
+        sl.Similitude(1.2, [0.0])
 
 
 # -- self-similar measures ----------------------------------------------------
@@ -79,7 +79,7 @@ def test_cantor_depth_eight():
 
 
 def test_unequal_ratio_weights_are_products():
-    maps = [sl.Similitude.scaling(1 / 2, [0.0]), sl.Similitude.scaling(1 / 4, [0.75])]
+    maps = [sl.Similitude(1 / 2, [0.0]), sl.Similitude(1 / 4, [0.75])]
     system = sl.SimilitudeSystem.from_maps(maps)
     mu = sl.ifs_self_similar_measure(system, depth=2)
     x = 2.0 ** -system.similarity_dim
@@ -91,12 +91,13 @@ def test_unequal_ratio_weights_are_products():
 
 
 def test_atom_budget():
-    with pytest.raises(BudgetError):
-        sl.ifs_self_similar_measure(sl.cantor_system(), depth=10, atom_budget=512)
+    # depth 18 builds 2^18 = 262144 atoms, past the budget of 200000
+    with pytest.raises(BudgetError, match="2\\^18 atoms exceed the budget 200000"):
+        sl.ifs_self_similar_measure(sl.cantor_system(), depth=18)
 
 
 def test_weights_normalized_at_every_depth():
-    maps = [sl.Similitude.scaling(0.3, [0.0]), sl.Similitude.scaling(0.45, [1.0])]
+    maps = [sl.Similitude(0.3, [0.0]), sl.Similitude(0.45, [1.0])]
     system = sl.SimilitudeSystem.from_maps(maps)
     for depth in range(1, 7):
         mu = sl.ifs_self_similar_measure(system, depth)
@@ -256,7 +257,7 @@ def test_catalog_entry_rejects_a_measure_past_the_atom_budget(name, params, coun
 @pytest.mark.parametrize(
     "name, params",
     [
-        ("circle", {"atoms": sl.measures.DEFAULT_ATOM_BUDGET}),
+        ("circle", {"atoms": sl.measures.ATOM_BUDGET}),
         ("circle", {"atoms": 80_000}),
         ("circle_plus_square", {"cells": 444}),  # 2000 + 197136 atoms
         ("cantor_line", {"depth": 17}),
@@ -567,13 +568,29 @@ def test_measure_text_reader_rejects_a_short_header(tmp_path, text, header):
 
 @pytest.mark.parametrize(
     "text, k, line",
-    [("2 1 1.0\n", 1, ""), ("2 1 1.0\n3\n", 1, "3"), ("2 2 1.0\n1 1.0\n1 1.0 0.5\n0 0 1\n", 2, "1 1.0 0.5")],
-    ids=["file_ends", "one_field", "three_fields"],
+    [
+        ("2 1 1.0\n", 1, ""),
+        ("2 1 1.0\n3\n", 1, "3"),
+        ("2 2 1.0\n1 1.0\n1 1.0 0.5\n0 0 1\n", 2, "1 1.0 0.5"),
+        ("2 1 1.0\nx 1.0\n", 1, "x 1.0"),
+        ("2 2 1.0\n1 1.0\n1 one\n0 0 1\n", 2, "1 one"),
+    ],
+    ids=["file_ends", "one_field", "three_fields", "word_count", "word_nominal_dim"],
 )
 def test_measure_text_reader_rejects_a_bad_component_line(tmp_path, text, k, line):
     path = tmp_path / "m.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"m.txt: component line {k} '{line}' must be 'count nominal_dim'"):
+        sl.load_measure_text(path)
+
+
+@pytest.mark.parametrize(
+    "header", ["two 1 1.0", "2 1.5 1.0", "2 1 mass"], ids=["word_dimension", "fractional_component_count", "word_mass"]
+)
+def test_measure_text_reader_rejects_a_non_numeric_header(tmp_path, header):
+    path = tmp_path / "m.txt"
+    path.write_text(header + "\n2 1.0\n")
+    with pytest.raises(ValueError, match=f"m.txt: the header line '{header}' must be 'N n_components total_mass'"):
         sl.load_measure_text(path)
 
 

@@ -96,29 +96,39 @@ def test_fourier_budget_and_support_errors():
 # -- log kernel route -----------------------------------------------------------
 
 
+# Two atoms at distance r with weights w and V = 1: the matrix is w k with
+# off-diagonal o = -c log r and cell-average diagonal d = c (1 - log(r / 2)),
+# c = 1 / (2 pi) in the plane, so its eigenvalues are w (d + o) and w (d - o).
+
+
 def test_log_kernel_two_atoms_unit_distance():
     pos = np.array([[0.0, 0.0], [1.0, 0.0]])
     mu = PointCloudMeasure.from_atoms(pos, np.full(2, 0.5), 1.0)
-    spec = sl.LogKernelSpec("pure_log", log_coefficient=1.0, diagonal_rule="zero")
-    op = sl.assemble_log_kernel(mu, SignedDensity.ones(2), spec)
-    assert np.allclose(op.matrix, 0.0)  # log 1 = 0
+    op = sl.assemble_log_kernel(mu, SignedDensity.ones(2), "pure_log")
+    c = 1.0 / (2.0 * math.pi)
+    assert op.metadata["log_coefficient"] == pytest.approx(c, rel=1e-15)
+    assert op.matrix[0, 1] == op.matrix[1, 0] == 0.0  # log 1 = 0
+    d = c * (1.0 + math.log(2.0))
+    assert np.allclose(np.diag(op.matrix), 0.5 * d, rtol=1e-14, atol=0.0)
 
 
 def test_log_kernel_two_atoms_distance_inv_e():
     pos = np.array([[0.0, 0.0], [math.exp(-1.0), 0.0]])
     mu = PointCloudMeasure.from_atoms(pos, np.full(2, 0.5), 1.0)
-    spec = sl.LogKernelSpec("pure_log", log_coefficient=1.0, diagonal_rule="zero")
-    op = sl.assemble_log_kernel(mu, SignedDensity.ones(2), spec)
+    op = sl.assemble_log_kernel(mu, SignedDensity.ones(2), "pure_log")
+    c = 1.0 / (2.0 * math.pi)
+    o, d = c, c * (2.0 + math.log(2.0))
+    assert op.matrix[0, 1] == pytest.approx(0.5 * o, rel=1e-14)
     rep = sl.eigen_spectrum(op)
-    assert rep.positive[0] == pytest.approx(0.5, rel=1e-12)
-    assert rep.negative[0] == pytest.approx(0.5, rel=1e-12)
+    assert len(rep.negative) == 0
+    assert rep.positive == pytest.approx([0.5 * (d + o), 0.5 * (d - o)], rel=1e-12)
 
 
 def test_log_kernel_circle_matches_fourier_oracle():
     # exact eigenvalues of the circle log kernel scale like 1/(2|k|): after
     # sorting, k * lambda_k ~ 1 in the quadrature-faithful window
     mu, v = sl.builtin_measure("circle", {"atoms": 2000})
-    op = sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
+    op = sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
     rep = sl.eigen_spectrum(op)
     k = np.arange(50, 201)
     products = k * rep.positive[49:200]
@@ -130,7 +140,7 @@ def test_log_kernel_bessel_top_matches_addition_theorem():
     from scipy.special import iv, kv
 
     mu, v = sl.builtin_measure("circle", {"atoms": 1000})
-    op = sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
+    op = sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
     rep = sl.eigen_spectrum(op)
     exact = [iv(0, 1) * kv(0, 1)] + [
         float(iv(k, 1) * kv(k, 1)) for k in (1, 1, 2, 2, 3, 3)
@@ -148,7 +158,7 @@ def test_log_kernel_coincident_atoms_error():
 
 def test_log_kernel_sign_framed_symmetry():
     mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 400})
-    op = sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
+    op = sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
     assert op.metadata["sign_framed"]
     rep = sl.eigen_spectrum(op)
     # V and -V play symmetric roles on the two half arcs
@@ -160,11 +170,11 @@ def test_sign_decomposition_counting():
     # positive counting of the signed operator tracks the V+ - only operator
     mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 1000})
     signed = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
+        sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
     )
     vplus = SignedDensity(v.positive_part)
     plus_only = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, vplus, sl.LogKernelSpec("bessel_exact_N2"))
+        sl.assemble_log_kernel(mu, vplus, "bessel_exact_N2")
     )
     lam = 0.02
     a = sl.counting(signed, lam, "+")
@@ -185,10 +195,10 @@ def _cdist_and_nn(mu):
     return dist, nn
 
 
-def _cdist_kernel(mu, spec):
+def _cdist_kernel(mu, kernel):
     dist, nn = _cdist_and_nn(mu)
     c_log = sl.operators.log_kernel_coefficient(mu.ambient_dim)
-    if spec.kernel_choice == "bessel_exact_N2":
+    if kernel == "bessel_exact_N2":
         kern = k0(dist) / (2 * math.pi)
         diag = c_log * (1.0 - np.log(nn / 2.0)) + c_log * (math.log(2.0) - np.euler_gamma)
     else:
@@ -215,7 +225,7 @@ def _framing_case(case):
     rng = np.random.default_rng(23)
     if case == "half_signed_circle":
         mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 400})
-        return mu, v, sl.LogKernelSpec("bessel_exact_N2")
+        return mu, v, "bessel_exact_N2"
     if case == "R2-lognormal-zeros":
         n = 300
         mu = PointCloudMeasure.from_atoms(
@@ -223,24 +233,24 @@ def _framing_case(case):
         )
         values = rng.normal(0.0, 1.0, n)
         values[rng.choice(n, 25, replace=False)] = 0.0
-        return mu, SignedDensity(values), sl.LogKernelSpec("bessel_exact_N2")
+        return mu, SignedDensity(values), "bessel_exact_N2"
     n = 150
     mu = PointCloudMeasure.from_atoms(
         rng.uniform(0.0, 0.5, size=(n, 3)), rng.lognormal(0.0, 0.5, n), 2.0
     )
-    return mu, SignedDensity(rng.normal(0.2, 1.0, n)), sl.LogKernelSpec("pure_log")
+    return mu, SignedDensity(rng.normal(0.2, 1.0, n)), "pure_log"
 
 
 @pytest.mark.parametrize("case", ["half_signed_circle", "R2-lognormal-zeros", "R3-pure-log"])
 def test_cholesky_framing_matches_eigh_framing(case):
-    mu, v, spec = _framing_case(case)
-    op = sl.assemble_log_kernel(mu, v, spec)
+    mu, v, kernel = _framing_case(case)
+    op = sl.assemble_log_kernel(mu, v, kernel)
     assert op.metadata["sign_framed"]
     m = op.matrix
     assert m.shape == (mu.atom_count, mu.atom_count)
     assert np.array_equal(m, m.T)
     got = np.linalg.eigvalsh(m)
-    want = np.linalg.eigvalsh(_eigh_sign_frame(_cdist_kernel(mu, spec), mu, v))
+    want = np.linalg.eigvalsh(_eigh_sign_frame(_cdist_kernel(mu, kernel), mu, v))
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1e-12 * scale
     zeros = int(np.sum(v.values == 0))
@@ -254,9 +264,9 @@ def test_signed_density_on_indefinite_kernel_raises(radius):
     # smallest eigenvalue of k is -176.5 at radius 2 and -0.023 at radius 1
     mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 1600, "radius": radius})
     with pytest.raises(DegenerateKernelError, match="not positive definite") as err:
-        sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("pure_log"))
+        sl.assemble_log_kernel(mu, v, "pure_log")
     named = float(re.search(r"smallest eigenvalue (\S+)\)", str(err.value)).group(1))
-    smallest = np.linalg.eigvalsh(_cdist_kernel(mu, sl.LogKernelSpec("pure_log")))[0]
+    smallest = np.linalg.eigvalsh(_cdist_kernel(mu, "pure_log"))[0]
     assert smallest < 0
     assert named == pytest.approx(smallest, rel=1e-5)
 
@@ -271,9 +281,8 @@ def test_signed_density_on_indefinite_kernel_raises(radius):
 )
 def test_unsigned_log_kernel_bit_identical_to_cdist(name, params, kernel):
     mu, v = sl.builtin_measure(name, params)
-    spec = sl.LogKernelSpec(kernel)
-    op = sl.assemble_log_kernel(mu, v, spec)
-    ref = _root_scaled(_cdist_kernel(mu, spec), np.sqrt(mu.weights * v.values))
+    op = sl.assemble_log_kernel(mu, v, kernel)
+    ref = _root_scaled(_cdist_kernel(mu, kernel), np.sqrt(mu.weights * v.values))
     assert np.array_equal(op.matrix, ref)
 
 
@@ -304,7 +313,7 @@ def test_boundedness_stability_across_refinements():
     for atoms in (500, 1000, 2000):
         mu, v = sl.builtin_measure("circle", {"atoms": atoms})
         rep = sl.eigen_spectrum(
-            sl.assemble_log_kernel(mu, v, sl.LogKernelSpec("bessel_exact_N2"))
+            sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
         )
         ratios.append(rep.positive[0] / luxemburg_norm(v, mu, "psi").value)
     assert max(ratios) / min(ratios) <= 2.0
@@ -539,7 +548,7 @@ def test_fourier_coefficients_working_set_is_bounded(route):
 def _assembly_routes():
     circle, ones = sl.builtin_measure("circle", {"atoms": 1600})
     signed = sl.builtin_measure("half_signed_circle", {"atoms": 1600})
-    bessel = sl.LogKernelSpec("bessel_exact_N2")
+    bessel = "bessel_exact_N2"
     return {
         "logkernel": lambda: sl.assemble_log_kernel(circle, ones, bessel),
         "logkernel-signed": lambda: sl.assemble_log_kernel(*signed, bessel),
