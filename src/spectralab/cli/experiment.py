@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError(f"{kind} density needs {', '.join(missing)}")
         if kind == "constant" and not _is_number(self.density.get("value", 1.0)):
             raise ConfigError(f"constant density value must be a real number, not {self.density['value']!r}")
+        if kind == "file" and not isinstance(self.density["path"], str):
+            raise ConfigError(f"density file path must be a string, not {self.density['path']!r}")
         if kind == "expression":
             _expression_values(self.density["expr"], np.empty((0, ambient_dim)))
         for check in self.checks:
@@ -197,7 +199,7 @@ def _eval_density(node: ast.AST, env: dict):
     signs, single comparisons, int and float literals, the names in `env`, and
     calls `np.<ufunc>(...)` of a single-output ufunc with one positional
     argument per ufunc input.  Anything else raises ConfigError before it
-    runs."""
+    runs.  A power of an int is taken in float."""
     if isinstance(node, ast.Expression):
         return _eval_density(node.body, env)
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -205,9 +207,11 @@ def _eval_density(node: ast.AST, env: dict):
     if isinstance(node, ast.Name) and node.id in env:
         return env[node.id]
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-        return _BINARY_OPS[type(node.op)](
-            _eval_density(node.left, env), _eval_density(node.right, env)
-        )
+        left, right = _eval_density(node.left, env), _eval_density(node.right, env)
+        if isinstance(node.op, ast.Pow) and type(left) is int:
+            # 10 ** 400 overflows at once, as 10.0 ** 400 does, not digit by digit
+            left = float(left)
+        return _BINARY_OPS[type(node.op)](left, right)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
         return _UNARY_OPS[type(node.op)](_eval_density(node.operand, env))
     if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _COMPARE_OPS:
@@ -266,10 +270,14 @@ def _resolve_density(
     elif kind == "expression":
         vals = _expression_values(cfg.density["expr"], mu.positions)
     else:
+        path = cfg.density["path"]
         try:
-            vals = np.loadtxt(cfg.density["path"], dtype=float).reshape(-1)
+            with open(path) as f:  # no values: none read, and no np.loadtxt warning
+                vals = np.loadtxt(f, dtype=float).reshape(-1) if measures._rows_follow(f) else np.empty(0)
         except FileNotFoundError as exc:
-            raise ConfigError(f"density file not found: {cfg.density['path']}") from exc
+            raise ConfigError(f"density file not found: {path}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"density file {path} cannot be read: {exc}") from exc
         if len(vals) != mu.atom_count:
             raise ConfigError(f"density file holds {len(vals)} values for {mu.atom_count} atoms")
     bad = int(np.count_nonzero(~np.isfinite(vals)))
@@ -578,6 +586,7 @@ def _steklov_diagonal(check: dict, report) -> dict:
     eigenvalues b(k)^2 mass / (2 pi) over the kept modes k."""
     op_cfg = report.config.operator
     K = int(op_cfg["K"])
+    # closed-form b(k)^2, not operators.steklov_modes: an independent reference
     if op_cfg.get("zero_mode", "drop") == "drop":
         ks = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
         b2 = 1.0 / np.abs(ks)

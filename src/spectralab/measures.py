@@ -192,11 +192,9 @@ class Similitude:
 
 
 def ifs_dimension(maps: Sequence[Similitude]) -> float:
-    """Similarity dimension: the unique d > 0 with sum h_j^d = 1.
-
-    Found by monotone bisection on (0, 64]; the left side is strictly
-    decreasing in d, from m - 1 > 0 down to -1.
-    """
+    """Similarity dimension: the unique d > 0 with sum h_j^d = 1, bisected on
+    (0, 64] to the largest double with sum h_j^d >= 1.  For the Cantor and
+    Sierpinski maps that is log m / log(1/h) to the last bit."""
     if len(maps) < 2:
         raise DegenerateSystemError("an IFS needs at least two maps")
     h = np.array([s.ratio for s in maps], dtype=float)
@@ -207,20 +205,11 @@ def ifs_dimension(maps: Sequence[Similitude]) -> float:
         return float(np.sum(h**d)) - 1.0
 
     lo, hi = 1e-12, IFS_DIMENSION_CAP
-    if f(hi) > 0.0:
+    if f(hi) >= 0.0:
         raise InvalidRatioError("no similarity dimension below the cap 64")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * hi and abs(f(hi)) <= IFS_RESIDUAL_TOL:
-            break
-    d = 0.5 * (lo + hi)
-    if abs(f(d)) > IFS_RESIDUAL_TOL:
-        d = hi if abs(f(hi)) < abs(f(d)) else d
-    return d
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) >= 0.0 else (lo, mid)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -473,14 +462,20 @@ def diameter(measure: PointCloudMeasure) -> float:
     return float(np.linalg.norm(span))
 
 
-def _check_radii_floor(measure: PointCloudMeasure, radii: np.ndarray) -> float:
+def _ball_ratios(measure: PointCloudMeasure, s: float, centers: np.ndarray, radii: Sequence[float]):
+    """(r, ratios): the radii sorted, and mu(B(c, r)) / r^s of shape
+    (len(centers), len(r)).  Each radius must be positive and at least the
+    resolution floor."""
+    r = np.asarray(sorted(radii), dtype=float)
+    if r.size == 0 or np.any(r <= 0):
+        raise ValueError("radii must be positive")
     floor = 4.0 * nearest_neighbor_spacing(measure)
-    if radii.min() < floor:
+    if r[0] < floor:
         raise ResolutionError(
-            f"radius {radii.min():g} below the resolution floor {floor:g} "
+            f"radius {r[0]:g} below the resolution floor {floor:g} "
             "(4 x nearest-neighbor spacing); the atom cloud cannot witness it"
         )
-    return floor
+    return r, _ball_masses(measure, centers, r) / r**s
 
 
 @dataclass(frozen=True)
@@ -514,17 +509,13 @@ def ahlfors_constants(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    r = np.asarray(sorted(radii), dtype=float)
-    if r.size == 0 or np.any(r <= 0):
-        raise ValueError("radii must be positive")
-    _check_radii_floor(measure, r)
     n = measure.atom_count
     if sample_count >= n:
         centers = measure.positions
     else:
         rng = np.random.default_rng(seed)
         centers = measure.positions[rng.choice(n, size=sample_count, replace=False)]
-    ratios = _ball_masses(measure, centers, r) / r**s
+    r, ratios = _ball_ratios(measure, s, centers, radii)
     lo, hi = float(ratios.min()), float(ratios.max())
     return AhlforsBand(
         exponent=s,
@@ -566,12 +557,8 @@ def density_bounds(
     radii: Sequence[float],
 ) -> DensityEstimate:
     """Min/max of mu(B(X, r)) / r^s over the given radii at a fixed center."""
-    r = np.asarray(sorted(radii), dtype=float)
-    if r.size == 0 or np.any(r <= 0):
-        raise ValueError("radii must be positive")
-    _check_radii_floor(measure, r)
     c = np.asarray(center, dtype=float)
-    ratios = _ball_masses(measure, c[None, :], r)[0] / r**s
+    r, ratios = _ball_ratios(measure, s, c[None, :], radii)
     lower, upper = float(ratios.min()), float(ratios.max())
     return DensityEstimate(
         exponent=s,
@@ -654,7 +641,7 @@ def _cantor_line(depth=9):
 
 def _cantor_circle(depth=10, radius=1.0):
     r = float(radius)
-    d = math.log(2) / math.log(3)
+    d = cantor_system().similarity_dim
     x = _cantor_midpoints(int(depth))
     theta = 2 * np.pi * x
     pos = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)

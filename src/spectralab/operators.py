@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, issymmetric
 from scipy.linalg.blas import dtrmm, zgemm
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
@@ -47,9 +47,9 @@ KERNELS = ("pure_log", "bessel_exact_N2")
 # Entries of the per-axis exponential factors of one atom chunk of the
 # Fourier coefficient sum (2^16 complex entries: 1 MB).
 FOURIER_CHUNK_ELEMENTS = 2**16
-# Entries of one block temporary of an n x n assembly, check or copy (2^15
-# doubles: 256 KB).  A block holds a few of them at once, so a build works
-# in far less heap than one matrix.
+# Entries of one block temporary of an n x n assembly (2^15 doubles:
+# 256 KB).  A block holds a few of them at once, so a build works in far
+# less heap than one matrix.
 BLOCK_ELEMENTS = 2**15
 # Entries of one column panel of the sign framing (2^17 doubles: 1 MB).
 PANEL_ELEMENTS = 2**17
@@ -108,21 +108,13 @@ def log_kernel_coefficient(ambient_dim: int) -> float:
 
 
 def _check_self_adjoint(m: np.ndarray) -> None:
-    """Raise unless m == m^T exactly, comparing row blocks of the upper
-    triangle with the matching column blocks so that no n x n temporary is
-    formed.  A NaN or an infinity anywhere is a SolverError."""
-    n = m.shape[0]
-    block = _block_rows(n)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        rows, cols = m[i0:i1, i0:], m[i0:, i0:i1]
-        # a NaN or an infinity makes dev NaN or infinite, never 0 (inf - inf is NaN)
-        with np.errstate(invalid="ignore"):
-            dev = float(np.abs(rows - cols.T).max())
-        if dev != 0:
-            if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
-                raise SolverError("operator matrix has non-finite entries")
-            raise ValueError(f"matrix deviates from self-adjointness by {dev:g}")
+    """Raise unless m is finite and m == m^T exactly; neither test forms an
+    n x n temporary.  A NaN or an infinity anywhere is a SolverError."""
+    if not (math.isfinite(m.max()) and math.isfinite(m.min())):
+        raise SolverError("operator matrix has non-finite entries")
+    if not issymmetric(m):
+        dev = max(float(np.abs(m[i, i:] - m[i:, i]).max()) for i in range(m.shape[0]))
+        raise ValueError(f"matrix deviates from self-adjointness by {dev:g}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import LinAlgError, blas, eigh_tridiagonal, lapack
 
 from .errors import SolverError, SpectralWindowError
 from .operators import AssembledOperator, _mirror_lower
@@ -61,14 +61,6 @@ class EigenReport:
         return np.sort(np.concatenate([self.positive, self.negative]))[::-1]
 
 
-def _residual_block(n: int, values: np.ndarray, pairs: int) -> tuple[int, int]:
-    # Check eigenpairs at the large-|lambda| end of the spectrum (ascending order).
-    k = min(pairs, n)
-    if abs(values[0]) >= abs(values[-1]):
-        return 0, k - 1
-    return n - k, n - 1
-
-
 def _lapack_info(info: int, routine: str, n: int) -> None:
     if info != 0:
         raise SolverError(f"LAPACK {routine} returned info = {info} on a {n} x {n} problem")
@@ -88,30 +80,6 @@ def _tridiagonalize(a: np.ndarray):
     c, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=int(work), overwrite_a=1)
     _lapack_info(info, "dsytrd", n)
     return c, d, e, tau
-
-
-def _all_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of the tridiagonal, ascending (dsterf, root-free QL/QR)."""
-    if len(d) == 1:
-        return d.copy()
-    values, info = lapack.dsterf(d, e)
-    _lapack_info(info, "dsterf", len(d))
-    return values
-
-
-def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, lo: int, hi: int):
-    """Eigenpairs lo..hi (0-based, ascending) of the tridiagonal by bisection
-    (dstebz) and inverse iteration (dstein), as ?syevr does for an index range."""
-    n = len(d)
-    found, w, iblock, isplit, info = lapack.dstebz(d, e, 3, 0.0, 0.0, lo + 1, hi + 1, 0.0, "B")
-    _lapack_info(info, "dstebz", n)
-    if found != hi - lo + 1:
-        raise SolverError(f"dstebz found {found} eigenvalues for the index range [{lo}, {hi}]")
-    w = w[:found]
-    z, info = lapack.dstein(d, e, w, iblock, isplit)
-    _lapack_info(info, "dstein", n)
-    order = np.argsort(w, kind="stable")
-    return w[order], z[:, order]
 
 
 def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -143,16 +111,17 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     """Full dense symmetric eigensolve with a residual spot check.
 
     One Householder reduction to a real tridiagonal T serves both steps.
-    All eigenvalues come from dsterf on T.  A contiguous block of
-    RESIDUAL_PAIRS eigenpairs at the large-magnitude end is then found
-    again on T by bisection and inverse iteration, back-transformed with the
-    reduction's reflectors, and checked against the original matrix:
-    ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf agree to 1e-8 ||M||.
+    All eigenvalues come from eigh_tridiagonal by dsterf.  A block of
+    RESIDUAL_PAIRS eigenpairs at the large-magnitude end is found again by
+    eigh_tridiagonal's bisection and inverse iteration (dstebz, dstein),
+    back-transformed with the reduction's reflectors, and checked against the
+    original matrix: ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf
+    agree to 1e-8 ||M||.
     A passed check leaves its margins in the report's metadata:
     `residual_rel` (largest residual / ||M||), `bisection_gap_rel` (largest
     bisection-dsterf gap / ||M||) and `checked_range` (lo, hi), the 0-based
     ascending indices checked.  With n = 1 or M = 0 nothing is checked, and
-    none of the three keys is set.
+    none of the three keys is set.  A LAPACK failure on T is a SolverError.
 
     The reduction runs in place on op.matrix, so no second n x n array is
     formed: LAPACK reduces the Fortran-order view m.T from its lower
@@ -168,13 +137,19 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     diag = m.diagonal().copy()
     try:
         c, d, e, tau = _tridiagonalize(m.T)
-        values = _all_eigenvalues(d, e)
+        values = eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
         norm = float(np.abs(values).max(initial=0.0))
         checked = norm > 0 and n >= 2
         if checked:
-            lo, hi = _residual_block(n, values, RESIDUAL_PAIRS)
-            vals_blk, z = _tridiagonal_pairs(d, e, lo, hi)
+            # the block at the large-|lambda| end of the ascending values
+            k = min(RESIDUAL_PAIRS, n)
+            lo, hi = (0, k - 1) if abs(values[0]) >= abs(values[-1]) else (n - k, n - 1)
+            vals_blk, z = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi), lapack_driver="stebz")
+            if len(vals_blk) != k:
+                raise SolverError(f"dstebz found {len(vals_blk)} eigenvalues for the index range [{lo}, {hi}]")
             vecs_blk = _back_transform(c, tau, z)
+    except LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed on a {n} x {n} problem: {exc}") from exc
     finally:
         _mirror_lower(m)
         np.fill_diagonal(m, diag)

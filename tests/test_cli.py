@@ -455,7 +455,14 @@ def test_density_not_finite_on_some_atom_is_config_error(tmp_path, kind):
     assert re.search(rf"the {kind} density is not finite on {count} of 400 atoms", failed)
 
 
-@pytest.mark.parametrize("expr, error", [("1 / 0 + x", "division by zero"), ("x + 10.0 ** 400", "out of range")])
+@pytest.mark.parametrize("expr, error", [
+    ("1 / 0 + x", "division by zero"),
+    ("x + 10.0 ** 400", "out of range"),
+    # an int power is taken in float: it overflows at once instead of
+    # building an integer of every digit
+    ("x + 0 * 10 ** 400", "out of range"),
+    ("x + 0 * 10 ** 10 ** 8", "out of range"),
+])
 def test_density_expression_scalar_arithmetic_error_is_config_error(tmp_path, expr, error, capsys):
     raw = {**SMALL_CIRCLE, "density": {"kind": "expression", "expr": expr}, "checks": []}
     assert main(["validate", str(_write_config(tmp_path, raw))]) == 2
@@ -468,6 +475,31 @@ def test_missing_density_file_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
     assert f"density file not found: {missing}" in (out / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("abc", "cannot be read"),
+    (None, "cannot be read"),  # a directory
+    ("", "holds 0 values for 400 atoms"),  # without numpy's no-data warning
+])
+@pytest.mark.filterwarnings("error")
+def test_unreadable_density_file_is_config_error(tmp_path, content, message):
+    path = tmp_path / "values"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    raw = {**SMALL_CIRCLE, "density": {"kind": "file", "path": str(path)}}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    failed = (out / "FAILED").read_text()
+    assert "stage: measure" in failed and message in failed
+
+
+def test_density_file_path_must_be_a_string(tmp_path, capsys):
+    raw = {**SMALL_CIRCLE, "density": {"kind": "file", "path": 0}}
+    assert main(["validate", str(_write_config(tmp_path, raw))]) == 2
+    assert "path must be a string" in capsys.readouterr().err
 
 
 def test_log_potential_route_runs_the_library_assembly(tmp_path):

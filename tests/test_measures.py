@@ -44,6 +44,22 @@ def test_ifs_dimension_closed_forms():
     assert sl.ifs_dimension(mixed) == pytest.approx(expected, abs=1e-12)
 
 
+def test_ifs_dimension_is_exact_for_equal_ratios():
+    # the closed forms to the last bit, not to a tolerance
+    cantor = [sl.Similitude(1 / 3, [0.0]), sl.Similitude(1 / 3, [2 / 3])]
+    assert sl.ifs_dimension(cantor) == math.log(2) / math.log(3)
+    sierpinski = sl.sierpinski_system().maps
+    assert sl.ifs_dimension(sierpinski) == math.log(3) / math.log(2)
+
+
+def test_cantor_line_weights_are_exact():
+    # exact similarity dimension -> self-similar weights of exactly 2^-9
+    mu, _ = sl.builtin_measure("cantor_line")
+    assert mu.atom_count == 2**9
+    assert np.all(mu.weights == 2.0**-9)
+    assert mu.weights.sum() == 1.0 and mu.total_mass == 1.0
+
+
 def test_ifs_dimension_residual_property():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -174,19 +174,40 @@ def _positive_definite_op(n=60):
 
 
 def test_eigen_spectrum_agreement_check_fires(monkeypatch):
-    # the checked block is the top end; moving the largest QR eigenvalue by
-    # 1e-6 relative leaves bisection on its own
-    solve = spectral._all_eigenvalues
+    # the checked block is the top end; moving the largest dsterf eigenvalue
+    # by 1e-6 relative leaves bisection on its own
+    solve = spectral.eigh_tridiagonal
 
-    def corrupted(d, e):
-        values = solve(d, e).copy()
-        values[-1] *= 1.0 + 1e-6
-        return values
+    def corrupted(d, e, **kwargs):
+        result = solve(d, e, **kwargs)
+        if kwargs.get("eigvals_only"):
+            result = result.copy()
+            result[-1] *= 1.0 + 1e-6
+        return result
 
-    monkeypatch.setattr(spectral, "_all_eigenvalues", corrupted)
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", corrupted)
     op = _positive_definite_op()
     before = op.matrix.tobytes()
     with pytest.raises(SolverError, match="bisection and dsterf"):
+        sl.eigen_spectrum(op)
+    assert op.matrix.tobytes() == before
+
+
+@pytest.mark.parametrize("eigvals_only", [True, False], ids=["dsterf", "dstebz"])
+def test_eigen_spectrum_tridiagonal_failure_is_solver_error(monkeypatch, eigvals_only):
+    # a LAPACK failure of either tridiagonal solve surfaces as SolverError,
+    # and the matrix reduced in place is restored bit for bit
+    solve = spectral.eigh_tridiagonal
+
+    def failing(d, e, **kwargs):
+        if kwargs.get("eigvals_only", False) == eigvals_only:
+            raise sla.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", failing)
+    op = _positive_definite_op()
+    before = op.matrix.tobytes()
+    with pytest.raises(SolverError, match="failed to converge"):
         sl.eigen_spectrum(op)
     assert op.matrix.tobytes() == before
 
