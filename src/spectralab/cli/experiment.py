@@ -13,7 +13,7 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -31,20 +31,18 @@ from .scenarios import scenario_defaults
 SCHEMA_VERSION = 1
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+def _merge(base, override):
+    """The override merged into the base, object by object; anything but two
+    objects is the override (validate() rejects a section that is no object)."""
+    if not (isinstance(base, dict) and isinstance(override, dict)):
+        return override
+    return {**base, **{k: _merge(base.get(k), v) for k, v in override.items()}}
 
 
-def _operator(base: dict, override: dict) -> dict:
+def _operator(base: dict, override) -> dict:
     """The scenario's operator with the config's overrides; an override that
     names another route replaces it, so no key of the old route carries over."""
-    if override.get("route", base["route"]) != base["route"]:
+    if isinstance(override, dict) and override.get("route", base["route"]) != base["route"]:
         return dict(override)
     return _merge(base, override)
 
@@ -64,8 +62,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        if "scenario" not in raw:
-            raise ConfigError("config must name a scenario")
+        _keys("config", raw, ("scenario",), [f.name for f in fields(ExperimentConfig)])
         base = scenario_defaults(raw["scenario"])
         cfg = ExperimentConfig(
             scenario=raw["scenario"],
@@ -96,25 +93,23 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not _is_number(self.seed, numbers.Integral):
             raise ConfigError(f"seed must be an integer, not {self.seed!r}")
-        ambient_dim, _ = measures.catalog_entry(self.measure.get("name"), self.measure.get("params"))
+        _keys("measure", self.measure, ("name",), ("params",))
+        _keys("output", self.output, takes=("svg",))
+        ambient_dim, _ = measures.catalog_entry(self.measure["name"], self.measure.get("params"))
         for var in self.variants:
-            missing = [key for key in ("label", "operator") if key not in var]
-            if missing:
-                raise ConfigError(f"variant {var!r} needs {', '.join(missing)}")
+            _keys("variant", var, ("label", "operator"))
         for op_cfg in (self.operator, self.compare, *(v["operator"] for v in self.variants)):
             if op_cfg is not None:
                 _assembly(op_cfg, ambient_dim)
+        _keys("analysis", self.analysis, takes=("window", "order_window"))
         for key, win in self.analysis.items():
-            if key not in ("window", "order_window"):
-                raise ConfigError(f"analysis has no key {key!r}; it takes window, order_window")
             if not (isinstance(win, (list, tuple)) and list(map(type, win)) == [int, int] and 1 <= win[0] <= win[1]):
                 raise ConfigError(f"invalid analysis {key} {win!r}")
-        kind = self.density.get("kind", "default")
+        kind = _object("density", self.density).get("kind", "default")
         if kind not in _DENSITY_KEYS:
             raise ConfigError(f"unknown density kind {kind!r}")
-        missing = [key for key in _DENSITY_KEYS[kind] if key not in self.density]
-        if missing:
-            raise ConfigError(f"{kind} density needs {', '.join(missing)}")
+        needs, takes = _DENSITY_KEYS[kind]
+        _keys(f"{kind} density", self.density, needs, ("kind", *takes))
         if kind == "constant" and not _is_number(self.density.get("value", 1.0)):
             raise ConfigError(f"constant density value must be a real number, not {self.density['value']!r}")
         if kind == "file" and not isinstance(self.density["path"], str):
@@ -134,18 +129,35 @@ def _is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _object(where: str, section) -> dict:
+    """The config section; ConfigError if it is not an object."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, not {section!r}")
+    return section
+
+
+def _keys(where: str, section, needs=(), takes=()) -> None:
+    """ConfigError unless the config section is an object that holds every
+    key of `needs` and no key outside `needs` and `takes`."""
+    _object(where, section)
+    allowed = dict.fromkeys((*needs, *takes))
+    missing = [key for key in needs if key not in section]
+    unknown = [key for key in section if key not in allowed]
+    if missing or unknown:
+        fault = f"needs {', '.join(missing)}" if missing else f"has no key {', '.join(map(repr, unknown))}"
+        raise ConfigError(f"{where} {fault}; it takes {', '.join(allowed)}")
+
+
 # The numeric keys of a check and their kind; a plateau target may also be "predicted".
 _CHECK_NUMBERS = {"tol": numbers.Real, "factor": numbers.Real, "target": numbers.Real, "top": numbers.Integral}
 
 
 def _validate_check(check: dict, cfg: ExperimentConfig) -> None:
-    name = check.get("name", check.get("kind"))
+    name = _object("check", check).get("name", check.get("kind"))
     kind = _CHECKS.get(check.get("kind"))
     if kind is None:
         raise ConfigError(f"check {name!r} has unknown kind {check.get('kind')!r}")
-    missing = [key for key in kind.fields if key not in check]
-    if missing:
-        raise ConfigError(f"check {name!r} needs {', '.join(missing)}")
+    _keys(f"check {name!r}", check, kind.fields, ("kind", "name", "sign", *_CHECK_NUMBERS))
     for key, number in _CHECK_NUMBERS.items():
         value = check.get(key, 0)
         predicted = key == "target" and value == "predicted" and check["kind"] == "plateau"
@@ -253,8 +265,13 @@ def _expression_values(expr, positions: np.ndarray) -> np.ndarray:
         raise ConfigError(f"density expression {expr!r} fails: {exc}") from exc
 
 
-# Density kind -> the keys it needs.
-_DENSITY_KEYS = {"default": (), "constant": (), "expression": ("expr",), "file": ("path",)}
+# Density kind -> the keys it needs and the others it takes, besides "kind".
+_DENSITY_KEYS = {
+    "default": ((), ()),
+    "constant": ((), ("value",)),
+    "expression": (("expr",), ()),
+    "file": (("path",), ()),
+}
 
 
 def _resolve_density(
@@ -273,7 +290,7 @@ def _resolve_density(
         path = cfg.density["path"]
         try:
             with open(path) as f:  # no values: none read, and no np.loadtxt warning
-                vals = np.loadtxt(f, dtype=float).reshape(-1) if measures._rows_follow(f) else np.empty(0)
+                vals = np.loadtxt(f, dtype=float).reshape(-1) if measures._rows_follow(f, "#") else np.empty(0)
         except FileNotFoundError as exc:
             raise ConfigError(f"density file not found: {path}") from exc
         except (OSError, ValueError) as exc:
@@ -288,12 +305,12 @@ def _resolve_density(
     return default if kind == "default" else measures.SignedDensity(vals)
 
 
-# The keys each operator route reads, besides "route".
+# Operator route -> the keys it needs and the others it takes, besides "route".
 _ROUTE_KEYS = {
-    "fourier": {"L", "K"},
-    "steklov": {"K", "zero_mode", "center"},
-    "logkernel": {"kernel"},
-    "logpotential": set(),
+    "fourier": (("L", "K"), ()),
+    "steklov": (("K",), ("zero_mode", "center")),
+    "logkernel": ((), ("kernel",)),
+    "logpotential": ((), ()),
 }
 
 
@@ -302,15 +319,11 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
     Every parameter is checked now, before any measure exists, by the
     library's own checks; a failure is a ConfigError.  The call looks up
     operators.assemble_* when it runs, so that wrappers of them see it."""
-    route = op_cfg.get("route")
+    route = _object("operator", op_cfg).get("route")
     if route not in _ROUTE_KEYS:
         raise ConfigError(f"unknown operator route {route!r}")
-    unknown = sorted(set(op_cfg) - _ROUTE_KEYS[route] - {"route"})
-    if unknown:
-        raise ConfigError(
-            f"{route} operator has no parameter {', '.join(map(repr, unknown))}; "
-            f"it takes {', '.join(sorted(_ROUTE_KEYS[route])) or 'none'}"
-        )
+    needs, takes = _ROUTE_KEYS[route]
+    _keys(f"{route} operator", op_cfg, needs, ("route", *takes))
     kernel = op_cfg.get("kernel", "pure_log")
     planar = route == "steklov" or (route == "logkernel" and kernel == "bessel_exact_N2")
     if planar and ambient_dim != 2:
@@ -325,8 +338,6 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
             operators.steklov_modes(K, zero_mode)
             center = tuple(op_cfg.get("center", (0.0, 0.0)))
             return lambda mu, v: operators.assemble_steklov_circle(mu, v, K=K, zero_mode=zero_mode, center=center)
-    except KeyError as exc:
-        raise ConfigError(f"{route} operator needs {exc}") from exc
     except (ValueError, TypeError, BudgetError) as exc:
         raise ConfigError(f"{route} operator {op_cfg}: {exc}") from exc
     if route == "logpotential":
@@ -336,13 +347,19 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
     return lambda mu, v: operators.assemble_log_kernel(mu, v, kernel)
 
 
+def _entry(result, **derived) -> dict:
+    """A library result as summary data: its fields and the derived values,
+    less those that are None, with tuples as lists."""
+    record = {**asdict(result), **derived}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in record.items() if v is not None}
+
+
 def _fit_entry(fit: Callable, report: spectral.EigenReport, sign: str, window) -> dict | None:
     """A windowed fit as summary data; None if the spectrum cannot fill its window."""
     try:
-        record = asdict(fit(report, sign, window=window))
+        return _entry(fit(report, sign, window=window))
     except SpectralWindowError:
         return None
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in record.items() if v is not None}
 
 
 def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
@@ -404,20 +421,7 @@ def _prediction_summary(mu, v, mode: str) -> dict:
         pred = coeffs.predicted_trace(mu, v, mode=mode)
     except PredictionUnavailableError as exc:
         return {"available": False, "reason": str(exc)}
-    return {
-        "a_plus": pred.a_plus,
-        "a_minus": pred.a_minus,
-        "residue": pred.residue,
-        "components": [
-            {
-                "nominal_dim": c.nominal_dim,
-                "coefficient": c.coefficient,
-                "mass_plus": c.mass_plus,
-                "mass_minus": c.mass_minus,
-            }
-            for c in pred.components
-        ],
-    }
+    return _entry(pred, residue=pred.residue)
 
 
 def _measure_diagnostics(cfg, mu, v) -> dict:
@@ -451,26 +455,12 @@ def _measure_diagnostics(cfg, mu, v) -> dict:
             sample_count=32,
             seed=cfg.seed,
         )
-        out["ahlfors"] = {
-            "exponent": band.exponent,
-            "c_lower": band.c_lower,
-            "c_upper": band.c_upper,
-            "ratio": band.ratio,
-            "is_regular": band.is_regular,
-            "radii": list(band.radii),
-            "sample_count": band.sample_count,
-        }
+        out["ahlfors"] = _entry(band, ratio=band.ratio)
         center = mu.positions[mu.atom_count // 2]
         dens = measures.density_bounds(
             mu, s=mu.components[0].nominal_dim, center=center, radii=radii
         )
-        out["density_bounds"] = {
-            "lower": dens.lower,
-            "upper": dens.upper,
-            "mat_cond_ok": dens.mat_cond_ok,
-            "preiss_ok": dens.preiss_ok,
-            "preiss_constant": dens.preiss_constant,
-        }
+        out["density_bounds"] = _entry(dens)
     else:
         out["ahlfors"] = None
         out["density_bounds"] = None
@@ -526,12 +516,9 @@ def _plateau(check: dict, report) -> dict:
 
 
 def _plateau_ratio_mass(check: dict, report) -> dict:
-    _prediction(check, report)
+    z_cal = _prediction(check, report)["components"][0]["coefficient"]
+    z_printed = report.prediction["printed"]["components"][0]["coefficient"]
     ratio = _summary_value(report, "plateau_plus")["plateau"] / report.measure["total_mass"]
-    d = int(round(report.measure["components"][0]["nominal_dim"]))
-    n = report.measure["ambient_dim"]
-    z_cal = coeffs.weyl_coefficient(d, n, "calibrated")
-    z_printed = coeffs.weyl_coefficient(d, n, "printed")
     graded = _graded(ratio, z_cal, check["tol"])
     rel_printed = abs(ratio / z_printed - 1.0)
     passed = graded.pop("pass") and rel_printed > check["tol"]

@@ -14,10 +14,6 @@ by roughly 1/(pi Xi_max), which corrupts k * lambda_k beyond k of order ten.
 
 from __future__ import annotations
 
-import math
-
-TWO_PI = 2.0 * math.pi
-
 SCENARIOS: dict[str, dict] = {
     "circle": {
         "description": "Unit circle, V = 1, exact-Bessel log kernel (2000 atoms)",

@@ -77,7 +77,6 @@ class TracePrediction:
 
     a_plus: float
     a_minus: float
-    mode: str
     components: tuple[ComponentPrediction, ...]
 
     @property
@@ -118,12 +117,7 @@ def predicted_trace(
         )
         a_plus += coeff * mass_p
         a_minus += coeff * mass_m
-    return TracePrediction(
-        a_plus=a_plus,
-        a_minus=a_minus,
-        mode=mode,
-        components=tuple(comps),
-    )
+    return TracePrediction(a_plus=a_plus, a_minus=a_minus, components=tuple(comps))
 
 
 def coefficient_csv(pairs: Sequence[tuple[int, int]]) -> str:

@@ -486,7 +486,6 @@ class AhlforsBand:
     c_lower: float
     c_upper: float
     is_regular: bool
-    threshold: float
     radii: tuple[float, ...]
     sample_count: int
 
@@ -522,7 +521,6 @@ def ahlfors_constants(
         c_lower=lo,
         c_upper=hi,
         is_regular=bool(lo > 0 and hi / lo <= REGULARITY_THRESHOLD),
-        threshold=REGULARITY_THRESHOLD,
         radii=tuple(float(x) for x in r),
         sample_count=len(centers),
     )
@@ -537,10 +535,8 @@ class DensityEstimate:
     PREISS_CONSTANT (the true constant is nonconstructive) -- both heuristics.
     """
 
-    exponent: float
     lower: float
     upper: float
-    radii_used: tuple[float, ...]
     mat_cond_ok: bool
     preiss_ok: bool
     preiss_constant: float
@@ -558,13 +554,11 @@ def density_bounds(
 ) -> DensityEstimate:
     """Min/max of mu(B(X, r)) / r^s over the given radii at a fixed center."""
     c = np.asarray(center, dtype=float)
-    r, ratios = _ball_ratios(measure, s, c[None, :], radii)
+    _, ratios = _ball_ratios(measure, s, c[None, :], radii)
     lower, upper = float(ratios.min()), float(ratios.max())
     return DensityEstimate(
-        exponent=s,
         lower=lower,
         upper=upper,
-        radii_used=tuple(float(x) for x in r),
         mat_cond_ok=bool(lower > 0 and math.isfinite(upper)),
         preiss_ok=bool(upper < PREISS_CONSTANT * lower),
         preiss_constant=PREISS_CONSTANT,
@@ -792,16 +786,17 @@ def save_measure_text(
             f.writelines(" ".join(row) + "\n" for row in zip(*block))
 
 
-def _rows_follow(f) -> bool:
-    """Whether a line other than whitespace follows in the text file f; f is
-    left at the start of that line.  np.loadtxt warns on input without data,
-    so the reader asks this first."""
+def _rows_follow(f, comments: str | None = None) -> bool:
+    """Whether a line other than whitespace follows in the text file f, once
+    a comment from `comments` on (if given) is cut off, as np.loadtxt cuts
+    it; f is left at the start of that line.  np.loadtxt warns on input
+    without data, so the reader asks this first."""
     while True:
         at = f.tell()
         line = f.readline()
         if not line:
             return False
-        if line.strip():
+        if (line.partition(comments)[0] if comments else line).strip():
             f.seek(at)
             return True
 

@@ -259,30 +259,30 @@ class DixmierEstimate:
         s = np.asarray(s, dtype=float)
         if s.size == 0:
             raise ValueError("need at least one singular value")
-        n = np.arange(1, len(s) + 1, dtype=float)
-        seq = np.cumsum(s) / np.log(n + 2.0)
-        return DixmierEstimate(sequence=seq, final=float(seq[-1]))
+        return _log_averaged(np.cumsum(s))
+
+
+def _log_averaged(sums: np.ndarray) -> DixmierEstimate:
+    """The estimate of partial sums: sums[n - 1] / log(n + 2)."""
+    n = np.arange(1, len(sums) + 1, dtype=float)
+    seq = sums / np.log(n + 2.0)
+    return DixmierEstimate(sequence=seq, final=float(seq[-1]))
 
 
 def dixmier_sequence(arg) -> DixmierEstimate:
     """Dixmier estimator for raw singular values or for a signed report.
 
     For an EigenReport the estimate is the difference of the positive and
-    negative log-averaged sums (partial sums saturate once a list is
-    exhausted, and an empty list sums to zero), so the final value
-    approximates the signed trace.
+    negative log-averaged sums; the shorter list is padded with zeros, so its
+    partial sums saturate once it is exhausted (an empty list sums to zero),
+    and the final value approximates the signed trace.
     """
     if isinstance(arg, EigenReport):
         m = max(len(arg.positive), len(arg.negative))
         if m == 0:
             raise ValueError("need at least one eigenvalue")
-        cp, cn = (
-            np.concatenate([c, np.full(m - len(c), c[-1] if len(c) else 0.0)])
-            for c in (np.cumsum(arg.positive), np.cumsum(arg.negative))
-        )
-        n = np.arange(1, m + 1, dtype=float)
-        seq = (cp - cn) / np.log(n + 2.0)
-        return DixmierEstimate(sequence=seq, final=float(seq[-1]))
+        cp, cn = (np.cumsum(np.pad(x, (0, m - len(x)))) for x in (arg.positive, arg.negative))
+        return _log_averaged(cp - cn)
     return DixmierEstimate.from_values(np.asarray(arg, dtype=float))
 
 

@@ -1,5 +1,6 @@
 """Experiment runner and command line: determinism, artifacts, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import spectralab
-from spectralab import measures, operators, spectral
+from spectralab import coeffs, measures, operators, spectral
 from spectralab.cli.experiment import ExperimentConfig, _resolve_density, run_experiment
 from spectralab.cli.main import main
 from spectralab.errors import ScenarioError
@@ -54,6 +55,34 @@ def test_run_small_circle(tmp_path):
     }
     assert summary["measure"]["total_mass"] == pytest.approx(2 * np.pi, abs=1e-4)
     assert all(v["pass"] for v in summary["verdicts"])
+
+
+def test_summary_entries_are_their_results_fields(tmp_path):
+    # a field added to a result changes these key sets, and so the summary, on purpose
+    run_experiment(ExperimentConfig.from_dict(SMALL_CIRCLE), tmp_path / "out")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+
+    def names(result):
+        return {f.name for f in dataclasses.fields(result)}
+
+    assert (
+        set(summary["measure"]["ahlfors"])
+        == {"exponent", "c_lower", "c_upper", "is_regular", "radii", "sample_count", "ratio"}
+        == names(measures.AhlforsBand) | {"ratio"}
+    )
+    assert (
+        set(summary["measure"]["density_bounds"])
+        == {"lower", "upper", "mat_cond_ok", "preiss_ok", "preiss_constant"}
+        == names(measures.DensityEstimate)
+    )
+    for mode in ("calibrated", "printed"):
+        prediction = summary["prediction"][mode]
+        assert (
+            set(prediction)
+            == {"a_plus", "a_minus", "components", "residue"}
+            == names(coeffs.TracePrediction) | {"residue"}
+        )
+        assert set(prediction["components"][0]) == names(coeffs.ComponentPrediction)
 
 
 def test_run_determinism(tmp_path):
@@ -365,6 +394,15 @@ MALFORMED = {
     "ufunc_of_the_wrong_type": {"scenario": "circle", "density": {"kind": "expression", "expr": "np.bitwise_and(x, 1)"}},
     "coordinate_past_the_plane": {"scenario": "circle", "density": {"kind": "expression", "expr": "1 + z"}},
     "coordinate_past_the_sphere_space": {"scenario": "sphere", "density": {"kind": "expression", "expr": "1 + x3"}},
+    "density_value_typo": {"scenario": "circle", "density": {"kind": "constant", "valeu": 3.0}},
+    "check_sign_typo": _check_config("circle", {"kind": "plateau", "sgn": "-", "target": 1.0, "tol": 0.1}),
+    "top_level_key_typo": {"scenario": "circle", "analyis": {"window": [10, 50]}},
+    "measure_key_typo": {"scenario": "circle", "measure": {"parms": {"atoms": 200}}},
+    "output_key_typo": {"scenario": "circle", "output": {"sgv": True}},
+    "output_not_an_object": {"scenario": "circle", "output": True},
+    "measure_not_an_object": {"scenario": "circle", "measure": ["circle"]},
+    "operator_not_an_object": {"scenario": "circle", "operator": "logkernel"},
+    "check_not_an_object": _check_config("circle", "plateau"),
 }
 
 
@@ -481,6 +519,7 @@ def test_missing_density_file_is_config_error(tmp_path):
     ("abc", "cannot be read"),
     (None, "cannot be read"),  # a directory
     ("", "holds 0 values for 400 atoms"),  # without numpy's no-data warning
+    ("# only a comment\n", "holds 0 values for 400 atoms"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_unreadable_density_file_is_config_error(tmp_path, content, message):
