@@ -95,6 +95,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer, not {self.seed!r}")
         _keys("measure", self.measure, ("name",), ("params",))
         _keys("output", self.output, takes=("svg",))
+        if not isinstance(self.output.get("svg", False), bool):
+            raise ConfigError(f"output svg must be true or false, not {self.output['svg']!r}")
+        for key in ("checks", "variants"):
+            if not isinstance(getattr(self, key), list):
+                raise ConfigError(f"{key} must be a list, not {getattr(self, key)!r}")
         ambient_dim, _ = measures.catalog_entry(self.measure["name"], self.measure.get("params"))
         for var in self.variants:
             _keys("variant", var, ("label", "operator"))
@@ -310,7 +315,6 @@ _ROUTE_KEYS = {
     "fourier": (("L", "K"), ()),
     "steklov": (("K",), ("zero_mode", "center")),
     "logkernel": ((), ("kernel",)),
-    "logpotential": ((), ()),
 }
 
 
@@ -324,9 +328,7 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
         raise ConfigError(f"unknown operator route {route!r}")
     needs, takes = _ROUTE_KEYS[route]
     _keys(f"{route} operator", op_cfg, needs, ("route", *takes))
-    kernel = op_cfg.get("kernel", "pure_log")
-    planar = route == "steklov" or (route == "logkernel" and kernel == "bessel_exact_N2")
-    if planar and ambient_dim != 2:
+    if route == "steklov" and ambient_dim != 2:
         raise ConfigError(f"operator {op_cfg} needs a measure in the plane, not in R^{ambient_dim}")
     try:
         if route == "fourier":
@@ -340,8 +342,7 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
             return lambda mu, v: operators.assemble_steklov_circle(mu, v, K=K, zero_mode=zero_mode, center=center)
     except (ValueError, TypeError, BudgetError) as exc:
         raise ConfigError(f"{route} operator {op_cfg}: {exc}") from exc
-    if route == "logpotential":
-        return lambda mu, v: operators.assemble_log_potential(mu, v)
+    kernel = op_cfg.get("kernel", "pure_log")
     if kernel not in operators.KERNELS:
         raise ConfigError(f"{route} operator {op_cfg}: unknown kernel {kernel!r}; the kernels are {', '.join(operators.KERNELS)}")
     return lambda mu, v: operators.assemble_log_kernel(mu, v, kernel)

@@ -22,7 +22,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "circle", "params": {"atoms": 2000, "radius": 1.0}},
         "density": {"kind": "default"},
-        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
+        "operator": {"route": "logkernel", "kernel": "bessel"},
         "variants": [{"label": "pure_log", "operator": {"route": "logkernel", "kernel": "pure_log"}}],
         "analysis": {"window": [100, 500]},
         "checks": [
@@ -43,7 +43,7 @@ SCENARIOS: dict[str, dict] = {
         "measure": {"name": "circle", "params": {"atoms": 2000, "radius": 1.0}},
         "density": {"kind": "default"},
         "operator": {"route": "fourier", "L": 8.0, "K": 40},
-        "compare": {"route": "logkernel", "kernel": "bessel_exact_N2"},
+        "compare": {"route": "logkernel", "kernel": "bessel"},
         "analysis": {"window": [2, 16]},
         "checks": [
             {"name": "route_agreement", "kind": "route_match", "top": 30, "tol": 0.10},
@@ -56,7 +56,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "segment", "params": {"atoms": 2000, "length": 1.0}},
         "density": {"kind": "default"},
-        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
+        "operator": {"route": "logkernel", "kernel": "bessel"},
         "analysis": {},
         "checks": [
             {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.10},
@@ -72,7 +72,7 @@ SCENARIOS: dict[str, dict] = {
             "params": {"atoms": 3000, "r1": 1.0, "r2": 0.5, "gap": 1.0},
         },
         "density": {"kind": "default"},
-        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
+        "operator": {"route": "logkernel", "kernel": "bessel"},
         "analysis": {},
         "checks": [
             {"name": "weyl_plateau", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.10},
@@ -85,7 +85,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "half_signed_circle", "params": {"atoms": 2000, "radius": 1.0}},
         "density": {"kind": "default"},
-        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
+        "operator": {"route": "logkernel", "kernel": "bessel"},
         "analysis": {},
         "checks": [
             {"name": "plateau_plus", "kind": "plateau", "sign": "+", "target": "predicted", "tol": 0.12},
@@ -118,7 +118,7 @@ SCENARIOS: dict[str, dict] = {
         "expected_verdict": "pass",
         "measure": {"name": "cantor_line", "params": {"depth": 9}},
         "density": {"kind": "default"},
-        "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"},
+        "operator": {"route": "logkernel", "kernel": "bessel"},
         "analysis": {"order_window": [20, 400]},
         "checks": [
             {"name": "order_sharpness", "kind": "order_ratio", "sign": "+", "tol": 10.0},

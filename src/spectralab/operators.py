@@ -41,9 +41,9 @@ from .measures import PointCloudMeasure, SignedDensity, check_pairing
 
 # Largest order of a Fourier or Steklov compression.
 MATRIX_BUDGET = 12_000
-# The log-kernel choices: the pure log kernel, and in the plane the exact
-# Bessel kernel K_0 / (2 pi) of (1 - Laplace)^{-1}.
-KERNELS = ("pure_log", "bessel_exact_N2")
+# The log-kernel choices: the pure log kernel, and the exact Bessel kernel
+# c_N K_0 of (1 - Laplace)^{-N/2} in every dimension N.
+KERNELS = ("pure_log", "bessel")
 # Entries of the per-axis exponential factors of one atom chunk of the
 # Fourier coefficient sum (2^16 complex entries: 1 MB).
 FOURIER_CHUNK_ELEMENTS = 2**16
@@ -102,8 +102,8 @@ def _mirror_lower(m: np.ndarray) -> None:
 
 def log_kernel_coefficient(ambient_dim: int) -> float:
     """Leading log coefficient of the kernel of (1 - Laplace)^{-N/2}:
-    omega_{N-1} / (2 pi)^N.  (At N = 2 this matches the exact Bessel kernel
-    K_0 / (2 pi); the constant printed in the source would not.)"""
+    c_N = omega_{N-1} / (2 pi)^N, for that kernel is exactly c_N K_0(r)
+    (Stein 1970, ch. V.3).  (The constant printed in the source is not.)"""
     return sphere_area(ambient_dim) / (2.0 * math.pi) ** ambient_dim
 
 
@@ -130,7 +130,7 @@ class AssembledOperator:
     operator must not be solved in two threads at once."""
 
     matrix: np.ndarray
-    route: str  # fourier | logkernel | logpotential | steklov
+    route: str  # fourier | logkernel | steklov
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -350,8 +350,8 @@ def _log_kernel_matrix(
     density: SignedDensity | None = None,
 ) -> np.ndarray:
     """The kernel k on the atoms, exactly symmetric, or with a density its
-    frame sqrt(D) k sqrt(D), D_i = w_i |V_i|.  The log kernel is -c_log log r;
-    c_log = -1 gives +log r.  The diagonal is the mean of the kernel over a
+    frame sqrt(D) k sqrt(D), D_i = w_i |V_i|: -c_log log r (c_log = -1 gives
+    +log r) or c_log K_0(r).  The diagonal is the mean of the kernel over a
     cell of the atom's nearest-neighbour distance.
 
     Built in row blocks of the lower triangle: the distances of one block
@@ -359,11 +359,9 @@ def _log_kernel_matrix(
     and it is written to its rows and, transposed, to its columns.  An
     entry of the frame is 0.5 ((k_ij r_i) r_j + (k_ij r_j) r_i) with
     r = sqrt(D), which is the same number on both sides of the diagonal."""
-    if kernel == "bessel_exact_N2" and measure.ambient_dim != 2:
-        raise ValueError("bessel_exact_N2 requires ambient dimension 2")
     # exact 1-d cell mean of -log over a cell of width delta
     diag = c_log * (1.0 - np.log(_nn_distances(measure) / 2.0))
-    if kernel == "bessel_exact_N2":
+    if kernel == "bessel":
         # K_0(r) = -log r + (log 2 - gamma) + O(r^2 log r)
         diag = diag + c_log * (math.log(2.0) - EULER_GAMMA)
 
@@ -378,9 +376,9 @@ def _log_kernel_matrix(
         on_diag = (np.arange(i1 - i0), np.arange(i0, i1))
         blk = cdist(x[i0:i1], x[:i1])
         blk[on_diag] = 1.0  # a finite placeholder for the diagonal
-        if kernel == "bessel_exact_N2":
+        if kernel == "bessel":
             bessel_k0(blk, out=blk)
-            blk /= 2 * math.pi
+            blk /= 1.0 / c_log  # 1 / c_2 is 2 pi to the last bit
         else:
             np.log(blk, out=blk)
             np.negative(blk, out=blk)
@@ -452,8 +450,8 @@ def assemble_log_kernel(
             kern = _log_kernel_matrix(measure, kernel, c_log)
             lam = float(eigh(kern, eigvals_only=True, subset_by_index=[0, 0])[0])
             raise DegenerateKernelError(
-                f"kernel matrix is not positive definite (smallest eigenvalue "
-                f"{lam:.6g}); a sign-changing density needs a positive definite kernel"
+                f"kernel matrix is not positive definite (smallest eigenvalue {lam:.6g}); a "
+                f"sign-changing density needs a positive definite kernel, as bessel is in any dimension"
             )
         _cholesky_frame(matrix, measure.weights * density.values)
     else:
@@ -478,9 +476,9 @@ def assemble_log_potential(
     """Logarithmic potential f -> int log|X-Y| f(Y) P(dY) realized in L_{2,P}.
 
     Requires V >= 0 (for mixed signs use the sign-framed log-kernel route).
-    The matrix is sqrt(w_i V_i) log|X_i - X_j| sqrt(w_j V_j), the pure log
-    kernel with coefficient -1; its singular values are read off by the
-    spectral module.
+    The matrix is sqrt(w_i V_i) log|X_i - X_j| sqrt(w_j V_j), the log-kernel
+    route's pure log kernel with coefficient -1; its singular values are
+    read off by the spectral module.
     """
     check_pairing(measure, density)
     if np.any(density.values < 0):
@@ -489,7 +487,7 @@ def assemble_log_potential(
         )
     return AssembledOperator(
         matrix=_log_kernel_matrix(measure, "pure_log", -1.0, density),
-        route="logpotential",
+        route="logkernel",
         metadata={
             "ambient_dim": measure.ambient_dim,
             "measure": measure_fingerprint(measure, density),

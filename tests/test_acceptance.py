@@ -42,7 +42,7 @@ def _rel(a, b):
 def circle_log():
     t0 = time.perf_counter()
     mu, v = sl.builtin_measure("circle", {"atoms": 2000, "radius": 1.0})
-    op = sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+    op = sl.assemble_log_kernel(mu, v, "bessel")
     rep = sl.eigen_spectrum(op)
     return mu, v, rep, time.perf_counter() - t0
 
@@ -115,7 +115,7 @@ def test_criterion_03_coefficient_calibration(circle_log):
 def test_criterion_04_segment():
     mu, v = sl.builtin_measure("segment", {"atoms": 2000, "length": 1.0})
     rep = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+        sl.assemble_log_kernel(mu, v, "bessel")
     )
     fit = sl.weyl_plateau(rep)
     predicted = sl.weyl_coefficient(1, 2, "calibrated") * mu.total_mass
@@ -131,7 +131,7 @@ def test_criterion_05_two_circle_additivity():
         "two_circles", {"atoms": 3000, "r1": 1.0, "r2": 0.5, "gap": 1.0}
     )
     rep = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+        sl.assemble_log_kernel(mu, v, "bessel")
     )
     fit = sl.weyl_plateau(rep)
     predicted = sl.weyl_coefficient(1, 2, "calibrated") * mu.total_mass
@@ -145,7 +145,7 @@ def test_criterion_05_two_circle_additivity():
 def test_criterion_06_sign_splitting():
     mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 2000, "radius": 1.0})
     rep = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+        sl.assemble_log_kernel(mu, v, "bessel")
     )
     fit_p = sl.weyl_plateau(rep, "+")
     fit_m = sl.weyl_plateau(rep, "-")
@@ -175,7 +175,7 @@ def test_criterion_07_mixed_dimensions():
 def test_criterion_08_fractal_order_sharpness():
     mu, v = sl.builtin_measure("cantor_line", {"depth": 9})
     rep = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+        sl.assemble_log_kernel(mu, v, "bessel")
     )
     bounds = sl.order_bounds(rep, "+", window=(20, 400))
     lo, hi = bounds.inf, bounds.sup

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spectralab
-from spectralab import coeffs, measures, operators, spectral
+from spectralab import coeffs, measures, operators
 from spectralab.cli.experiment import ExperimentConfig, _resolve_density, run_experiment
 from spectralab.cli.main import main
 from spectralab.errors import ScenarioError
@@ -351,14 +351,10 @@ MALFORMED = {
     "steklov_diagonal_off_steklov": _check_config("circle", {"kind": "steklov_diagonal", "tol": 1e-12}),
     # (2 * 11 + 1)^3 = 12167 modes in R^3 exceed the default budget of 12000
     "fourier_budget_in_3d": {"scenario": "sphere", "operator": {"route": "fourier", "L": 8.0, "K": 11}},
-    "bessel_kernel_in_3d": {"scenario": "sphere", "operator": {"kernel": "bessel_exact_N2"}},
-    "bessel_variant_in_3d": {
-        "scenario": "sphere",
-        "variants": [{"label": "bessel", "operator": {"route": "logkernel", "kernel": "bessel_exact_N2"}}],
-    },
-    "kernel_typo": {"scenario": "circle", "operator": {"kernel": "bessel"}},
+    "kernel_typo": {"scenario": "circle", "operator": {"kernel": "bessel_exact_N2"}},
     "zero_mode_typo": {"scenario": "steklov_lebesgue", "operator": {"zero_mode": "keep"}},
     "diagonal_rule_typo": {"scenario": "circle", "operator": {"diagonal_rule": "none"}},
+    # logpotential is no route of the CLI: an unknown route
     "log_potential_diagonal_rule_typo": {"scenario": "circle", "operator": {"route": "logpotential", "diagonal_rule": "none"}},
     "negative_log_coefficient": {"scenario": "circle", "operator": {"log_coefficient": -1}},
     "zero_log_coefficient": {"scenario": "sphere", "operator": {"log_coefficient": 0}},
@@ -369,6 +365,7 @@ MALFORMED = {
     "variant_without_operator": {"scenario": "steklov_lebesgue", "variants": [{"label": "shift"}]},
     "operator_key_typo": {"scenario": "circle", "operator": {"kernal": "pure_log"}},
     "budget_on_a_nystrom_route": {"scenario": "circle", "operator": {"budget": 4000}},
+    # logpotential is no route of the CLI: an unknown route
     "kernel_on_log_potential": {"scenario": "circle", "operator": {"route": "logpotential", "kernel": "pure_log"}},
     "word_atom_count": {"scenario": "circle", "measure": {"params": {"atoms": "many"}}},
     "fractional_atom_count": {"scenario": "circle", "measure": {"params": {"atoms": 400.5}}},
@@ -403,6 +400,9 @@ MALFORMED = {
     "measure_not_an_object": {"scenario": "circle", "measure": ["circle"]},
     "operator_not_an_object": {"scenario": "circle", "operator": "logkernel"},
     "check_not_an_object": _check_config("circle", "plateau"),
+    "checks_not_a_list": {"scenario": "circle", "checks": 3},
+    "variants_not_a_list": {"scenario": "circle", "variants": 3},
+    "svg_not_a_boolean": {"scenario": "circle", "output": {"svg": "no"}},
 }
 
 
@@ -434,8 +434,8 @@ def test_density_zero_on_every_atom_is_config_error(tmp_path, density):
 
 
 def test_operator_override_of_another_route_replaces_the_scenario_operator():
-    replaced = ExperimentConfig.from_dict({"scenario": "circle", "operator": {"route": "logpotential"}})
-    assert replaced.operator == {"route": "logpotential"}
+    replaced = ExperimentConfig.from_dict({"scenario": "circle", "operator": {"route": "fourier", "L": 8.0, "K": 6}})
+    assert replaced.operator == {"route": "fourier", "L": 8.0, "K": 6}
     merged = ExperimentConfig.from_dict({"scenario": "circle", "operator": {"kernel": "pure_log"}})
     assert merged.operator == {"route": "logkernel", "kernel": "pure_log"}
 
@@ -539,17 +539,6 @@ def test_density_file_path_must_be_a_string(tmp_path, capsys):
     raw = {**SMALL_CIRCLE, "density": {"kind": "file", "path": 0}}
     assert main(["validate", str(_write_config(tmp_path, raw))]) == 2
     assert "path must be a string" in capsys.readouterr().err
-
-
-def test_log_potential_route_runs_the_library_assembly(tmp_path):
-    raw = {"scenario": "circle", "measure": {"params": {"atoms": 300}}, "variants": [], "checks": [],
-           "operator": {"route": "logpotential"}, "analysis": {"window": [5, 20]}}
-    report = run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "out")
-    mu, v = measures.builtin_measure("circle", {"atoms": 300})
-    direct = spectral.eigen_spectrum(operators.assemble_log_potential(mu, v))
-    assert report.eigen_primary.route == "logpotential"
-    assert np.array_equal(report.eigen_primary.positive, direct.positive)
-    assert np.array_equal(report.eigen_primary.negative, direct.negative)
 
 
 def test_each_operator_is_freed_before_the_next_is_built(tmp_path, monkeypatch):

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
-from scipy.special import k0
+from scipy.integrate import quad
+from scipy.special import eval_legendre, k0
 
 import spectralab as sl
 from spectralab.errors import (
@@ -128,7 +129,7 @@ def test_log_kernel_circle_matches_fourier_oracle():
     # exact eigenvalues of the circle log kernel scale like 1/(2|k|): after
     # sorting, k * lambda_k ~ 1 in the quadrature-faithful window
     mu, v = sl.builtin_measure("circle", {"atoms": 2000})
-    op = sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+    op = sl.assemble_log_kernel(mu, v, "bessel")
     rep = sl.eigen_spectrum(op)
     k = np.arange(50, 201)
     products = k * rep.positive[49:200]
@@ -140,13 +141,31 @@ def test_log_kernel_bessel_top_matches_addition_theorem():
     from scipy.special import iv, kv
 
     mu, v = sl.builtin_measure("circle", {"atoms": 1000})
-    op = sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+    op = sl.assemble_log_kernel(mu, v, "bessel")
     rep = sl.eigen_spectrum(op)
     exact = [iv(0, 1) * kv(0, 1)] + [
         float(iv(k, 1) * kv(k, 1)) for k in (1, 1, 2, 2, 3, 3)
     ]
     exact = np.sort(np.array(exact))[::-1]
     assert np.abs(rep.positive[:7] - exact).max() / exact.max() <= 2e-3
+
+
+def test_sphere_bessel_kernel_matches_funk_hecke():
+    # on the unit sphere the kernel c_3 K_0(|x - y|) = k(x . y) has the
+    # eigenvalue 2 pi int k(t) P_l(t) dt with multiplicity 2l + 1 (Funk-Hecke)
+    c3 = sl.operators.log_kernel_coefficient(3)
+
+    def integrand(t, ell):
+        return c3 * k0(math.sqrt(2.0 - 2.0 * t)) * eval_legendre(ell, t)
+
+    exact = []
+    for ell in range(4):
+        exact += [2 * math.pi * quad(integrand, -1.0, 1.0, args=(ell,), limit=200)[0]] * (2 * ell + 1)
+    exact = np.sort(exact)[::-1][:10]
+    mu, v = sl.builtin_measure("sphere", {"atoms": 1500})
+    rep = sl.eigen_spectrum(sl.assemble_log_kernel(mu, v, "bessel"))
+    assert len(rep.negative) == 0
+    assert np.abs(rep.positive[:10] / exact - 1.0).max() <= 1e-2
 
 
 def test_log_kernel_coincident_atoms_error():
@@ -158,7 +177,7 @@ def test_log_kernel_coincident_atoms_error():
 
 def test_log_kernel_sign_framed_symmetry():
     mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 400})
-    op = sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+    op = sl.assemble_log_kernel(mu, v, "bessel")
     assert op.metadata["sign_framed"]
     rep = sl.eigen_spectrum(op)
     # V and -V play symmetric roles on the two half arcs
@@ -170,11 +189,11 @@ def test_sign_decomposition_counting():
     # positive counting of the signed operator tracks the V+ - only operator
     mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 1000})
     signed = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+        sl.assemble_log_kernel(mu, v, "bessel")
     )
     vplus = SignedDensity(v.positive_part)
     plus_only = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, vplus, "bessel_exact_N2")
+        sl.assemble_log_kernel(mu, vplus, "bessel")
     )
     lam = 0.02
     a = sl.counting(signed, lam, "+")
@@ -198,8 +217,8 @@ def _cdist_and_nn(mu):
 def _cdist_kernel(mu, kernel):
     dist, nn = _cdist_and_nn(mu)
     c_log = sl.operators.log_kernel_coefficient(mu.ambient_dim)
-    if kernel == "bessel_exact_N2":
-        kern = k0(dist) / (2 * math.pi)
+    if kernel == "bessel":
+        kern = k0(dist) / (1.0 / c_log)
         diag = c_log * (1.0 - np.log(nn / 2.0)) + c_log * (math.log(2.0) - np.euler_gamma)
     else:
         kern = c_log * (-np.log(dist))
@@ -225,7 +244,7 @@ def _framing_case(case):
     rng = np.random.default_rng(23)
     if case == "half_signed_circle":
         mu, v = sl.builtin_measure("half_signed_circle", {"atoms": 400})
-        return mu, v, "bessel_exact_N2"
+        return mu, v, "bessel"
     if case == "R2-lognormal-zeros":
         n = 300
         mu = PointCloudMeasure.from_atoms(
@@ -233,15 +252,15 @@ def _framing_case(case):
         )
         values = rng.normal(0.0, 1.0, n)
         values[rng.choice(n, 25, replace=False)] = 0.0
-        return mu, SignedDensity(values), "bessel_exact_N2"
+        return mu, SignedDensity(values), "bessel"
     n = 150
     mu = PointCloudMeasure.from_atoms(
         rng.uniform(0.0, 0.5, size=(n, 3)), rng.lognormal(0.0, 0.5, n), 2.0
     )
-    return mu, SignedDensity(rng.normal(0.2, 1.0, n)), "pure_log"
+    return mu, SignedDensity(rng.normal(0.2, 1.0, n)), "pure_log" if case == "R3-pure-log" else "bessel"
 
 
-@pytest.mark.parametrize("case", ["half_signed_circle", "R2-lognormal-zeros", "R3-pure-log"])
+@pytest.mark.parametrize("case", ["half_signed_circle", "R2-lognormal-zeros", "R3-pure-log", "R3-bessel"])
 def test_cholesky_framing_matches_eigh_framing(case):
     mu, v, kernel = _framing_case(case)
     op = sl.assemble_log_kernel(mu, v, kernel)
@@ -274,9 +293,10 @@ def test_signed_density_on_indefinite_kernel_raises(radius):
 @pytest.mark.parametrize(
     "name, params, kernel",
     [
-        ("circle", {"atoms": 800}, "bessel_exact_N2"),
+        ("circle", {"atoms": 800}, "bessel"),
         ("sphere", {"atoms": 1000}, "pure_log"),
         ("segment", {"atoms": 500}, "pure_log"),
+        ("sphere", {"atoms": 1000}, "bessel"),
     ],
 )
 def test_unsigned_log_kernel_bit_identical_to_cdist(name, params, kernel):
@@ -313,7 +333,7 @@ def test_boundedness_stability_across_refinements():
     for atoms in (500, 1000, 2000):
         mu, v = sl.builtin_measure("circle", {"atoms": atoms})
         rep = sl.eigen_spectrum(
-            sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+            sl.assemble_log_kernel(mu, v, "bessel")
         )
         ratios.append(rep.positive[0] / luxemburg_norm(v, mu, "psi").value)
     assert max(ratios) / min(ratios) <= 2.0
@@ -548,10 +568,9 @@ def test_fourier_coefficients_working_set_is_bounded(route):
 def _assembly_routes():
     circle, ones = sl.builtin_measure("circle", {"atoms": 1600})
     signed = sl.builtin_measure("half_signed_circle", {"atoms": 1600})
-    bessel = "bessel_exact_N2"
     return {
-        "logkernel": lambda: sl.assemble_log_kernel(circle, ones, bessel),
-        "logkernel-signed": lambda: sl.assemble_log_kernel(*signed, bessel),
+        "logkernel": lambda: sl.assemble_log_kernel(circle, ones, "bessel"),
+        "logkernel-signed": lambda: sl.assemble_log_kernel(*signed, "bessel"),
         "logpotential": lambda: sl.assemble_log_potential(circle, ones),
         "fourier": lambda: sl.assemble_fourier_bs(circle, ones, 8.0, 16),  # 1089 modes
         "steklov": lambda: sl.assemble_steklov_circle(circle, ones, 544, "shift"),  # 1089 modes

@@ -88,7 +88,7 @@ def test_ball_mass_additive_over_disjoint_union(cloud, m):
 
 def _route_operator(route, mu, v):
     if route == "logkernel":
-        return sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+        return sl.assemble_log_kernel(mu, v, "bessel")
     if route == "fourier":
         return sl.assemble_fourier_bs(mu, v, L=8.0, K=5)
     return sl.assemble_steklov_circle(mu, v, K=20, zero_mode="drop")

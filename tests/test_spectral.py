@@ -113,7 +113,7 @@ def test_eigen_spectrum_records_no_margins_when_nothing_is_checked(matrix):
 
 def _circle_op():
     mu, v = measures.builtin_measure("circle", {"atoms": 300})
-    return operators.assemble_log_kernel(mu, v, "bessel_exact_N2")
+    return operators.assemble_log_kernel(mu, v, "bessel")
 
 
 def _sphere_op():
@@ -233,7 +233,7 @@ def test_eigen_spectrum_residual_check_fires(monkeypatch):
 
 def _half_signed_op():
     mu, v = measures.builtin_measure("half_signed_circle", {"atoms": 300})
-    return operators.assemble_log_kernel(mu, v, "bessel_exact_N2")
+    return operators.assemble_log_kernel(mu, v, "bessel")
 
 
 @pytest.mark.parametrize(
@@ -534,7 +534,7 @@ def test_spectra_match_detects_difference():
 def test_weyl_dixmier_consistency_on_circle():
     mu, v = sl.builtin_measure("circle", {"atoms": 1000})
     rep = sl.eigen_spectrum(
-        sl.assemble_log_kernel(mu, v, "bessel_exact_N2")
+        sl.assemble_log_kernel(mu, v, "bessel")
     )
     fit = weyl_plateau(rep)
     if fit.dispersion <= 0.05:
