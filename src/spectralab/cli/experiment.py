@@ -321,8 +321,9 @@ _ROUTE_KEYS = {
 def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
     """The assembly call of an operator config, as a function of (mu, v).
     Every parameter is checked now, before any measure exists, by the
-    library's own checks; a failure is a ConfigError.  The call looks up
-    operators.assemble_* when it runs, so that wrappers of them see it."""
+    library's own checks (the Steklov center here); a failure is a
+    ConfigError.  The call looks up operators.assemble_* when it runs, so
+    that wrappers of them see it."""
     route = _object("operator", op_cfg).get("route")
     if route not in _ROUTE_KEYS:
         raise ConfigError(f"unknown operator route {route!r}")
@@ -332,13 +333,15 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
         raise ConfigError(f"operator {op_cfg} needs a measure in the plane, not in R^{ambient_dim}")
     try:
         if route == "fourier":
-            L, K = float(op_cfg["L"]), op_cfg["K"]
-            operators.fourier_mode_count(K, ambient_dim)
+            L, K = op_cfg["L"], op_cfg["K"]
+            operators.fourier_modes(K, ambient_dim, L)
             return lambda mu, v: operators.assemble_fourier_bs(mu, v, L=L, K=K)
         if route == "steklov":
             K, zero_mode = op_cfg["K"], op_cfg.get("zero_mode", "drop")
             operators.steklov_modes(K, zero_mode)
             center = tuple(op_cfg.get("center", (0.0, 0.0)))
+            if len(center) != 2 or not all(_is_number(c) and math.isfinite(c) for c in center):
+                raise ValueError(f"center must be two finite reals, not {op_cfg['center']!r}")
             return lambda mu, v: operators.assemble_steklov_circle(mu, v, K=K, zero_mode=zero_mode, center=center)
     except (ValueError, TypeError, BudgetError) as exc:
         raise ConfigError(f"{route} operator {op_cfg}: {exc}") from exc

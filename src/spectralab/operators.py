@@ -8,17 +8,18 @@ logkernel: Nystrom matrix of the log-singular kernel of A A* on the atoms of
            coincide).
 
 The fourier and steklov routes are one Toeplitz compression
-M[xi, zeta] = a(xi) a(zeta) F(zeta - xi) with different multipliers and
-coefficients F.  The symbol is even and the density real, so both return M
-as a real symmetric matrix in the cos/sin basis, with the same spectrum as
-the complex Hermitian matrix on the exponentials.
+M[xi, zeta] = a(xi) a(zeta) F(zeta - xi) onto the modes toeplitz_modes
+builds: steklov is its 1-D case, the angle measure on a circle of period
+2 pi with the multiplier b(k).  The symbol is even and the density real, so
+M is returned as a real symmetric matrix in the cos/sin basis, with the
+same spectrum as the complex Hermitian matrix on the exponentials.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import mmap
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -119,7 +120,8 @@ def _check_self_adjoint(m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class AssembledOperator:
-    """Dense real symmetric matrix discretizing T, with provenance metadata.
+    """Dense real symmetric matrix discretizing T; the log-kernel route's
+    metadata names its log coefficient and whether it is sign-framed.
 
     The matrix must equal its transpose exactly and be finite.  A complex
     matrix is a ValueError; any other real dtype is converted to float64
@@ -153,27 +155,22 @@ class AssembledOperator:
         return self.matrix.shape[0]
 
 
-def measure_fingerprint(measure: PointCloudMeasure, density: SignedDensity) -> str:
-    h = hashlib.sha256()
-    h.update(measure.positions.tobytes())
-    h.update(measure.weights.tobytes())
-    h.update(density.values.tobytes())
-    return h.hexdigest()[:12]
-
-
-def _frequency_grid(K: int, n_dim: int) -> np.ndarray:
-    axes = [np.arange(-K, K + 1)] * n_dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def fourier_mode_count(K: int, n_dim: int) -> int:
-    """(2K + 1)^N, the order of the Fourier compression at integer cutoff K;
-    BudgetError past MATRIX_BUDGET."""
-    modes = (2 * operator.index(K) + 1) ** n_dim
-    if modes > MATRIX_BUDGET:
-        raise BudgetError(f"{modes} Fourier modes exceed the budget {MATRIX_BUDGET}")
-    return modes
+def toeplitz_modes(K: int, n_dim: int = 1, drop_zero: bool = False) -> np.ndarray:
+    """The integer frequencies xi in R^n_dim with |xi|_inf <= K, in C order,
+    less xi = 0 when drop_zero: an (n, n_dim) array.  ValueError for a K
+    that is a bool, negative or keeps no mode, BudgetError past
+    MATRIX_BUDGET, both before anything is allocated."""
+    if isinstance(K, bool):
+        raise ValueError(f"cutoff K must be an integer, not {K!r}")
+    K = operator.index(K)
+    count = (2 * K + 1) ** n_dim - drop_zero
+    if K < 0 or count < 1:
+        raise ValueError(f"cutoff K = {K} keeps no mode")
+    if count > MATRIX_BUDGET:
+        raise BudgetError(f"{count} modes exceed the budget {MATRIX_BUDGET}")
+    mesh = np.meshgrid(*[np.arange(-K, K + 1)] * n_dim, indexing="ij")
+    modes = np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.delete(modes, len(modes) // 2, axis=0) if drop_zero else modes
 
 
 def _chunk_coefficients(
@@ -291,6 +288,31 @@ def _toeplitz_compression(
     return matrix
 
 
+def _toeplitz_operator(
+    points: np.ndarray,
+    wv: np.ndarray,
+    L: float,
+    K: int,
+    modes: np.ndarray,
+    multiplier: np.ndarray,
+    route: str,
+) -> AssembledOperator:
+    """The compression of the measure sum_i wv_i delta_{points_i} on the torus
+    of period L onto modes (cutoff K), with the multiplier at them."""
+    F = _fourier_coefficients(points, wv, L, K)
+    return AssembledOperator(_toeplitz_compression(modes, multiplier, F), route)
+
+
+def fourier_modes(K: int, n_dim: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """The torus frequencies |xi|_inf <= K in R^n_dim and the multiplier
+    a(xi) = (1 + (2 pi |xi| / L)^2)^{-N/4} at them.  ValueError unless L is
+    a finite positive real; see toeplitz_modes for K."""
+    if isinstance(L, bool) or not isinstance(L, numbers.Real) or not (math.isfinite(L) and L > 0):
+        raise ValueError(f"torus period L must be a finite positive real, not {L!r}")
+    modes = toeplitz_modes(K, n_dim)
+    return modes, (1.0 + (2 * math.pi / L) ** 2 * (modes**2).sum(axis=1)) ** (-n_dim / 4.0)
+
+
 def assemble_fourier_bs(
     measure: PointCloudMeasure,
     density: SignedDensity,
@@ -300,36 +322,19 @@ def assemble_fourier_bs(
     """Quadratic-form compression onto torus frequencies |xi|_inf <= K.
 
     M[xi, xi'] = a(xi) a(xi') L^{-N} sum_i w_i V_i exp(2 pi i (xi' - xi) X_i / L)
-    with the multiplier a(xi) = (1 + (2 pi |xi| / L)^2)^{-N/4}.  The measure
-    support must fit in a box of side L/2 (localization margin).  The matrix
-    is returned in the real cos/sin basis (see _toeplitz_compression).
+    with the multiplier a of fourier_modes.  The measure support must fit in
+    a box of side L/2 (localization margin).  The matrix is returned in the
+    real cos/sin basis (see _toeplitz_compression).
     """
     check_pairing(measure, density)
-    n_dim = measure.ambient_dim
-    n_modes = fourier_mode_count(K, n_dim)
+    modes, a = fourier_modes(K, measure.ambient_dim, L)
     span = measure.positions.max(axis=0) - measure.positions.min(axis=0)
     if np.any(span > L / 2):
         raise SupportTooLargeError(
             f"support box side {span.max():g} exceeds the localization margin L/2 = {L / 2:g}"
         )
-
-    coords = _frequency_grid(K, n_dim)
-    a = (1.0 + (2 * math.pi / L) ** 2 * (coords**2).sum(axis=1)) ** (-n_dim / 4.0)
-    F = _fourier_coefficients(measure.positions, measure.weights * density.values, L, K)
-    matrix = _toeplitz_compression(coords, a, F)
-
-    return AssembledOperator(
-        matrix=matrix,
-        route="fourier",
-        metadata={
-            "torus_period": L,
-            "cutoff": K,
-            "ambient_dim": n_dim,
-            "modes": int(n_modes),
-            "max_wavenumber": 2 * math.pi * K / L,
-            "measure": measure_fingerprint(measure, density),
-        },
-    )
+    wv = measure.weights * density.values
+    return _toeplitz_operator(measure.positions, wv, L, K, modes, a, "fourier")
 
 
 def _nn_distances(measure: PointCloudMeasure) -> np.ndarray:
@@ -459,13 +464,7 @@ def assemble_log_kernel(
     return AssembledOperator(
         matrix=matrix,
         route="logkernel",
-        metadata={
-            "kernel_choice": kernel,
-            "log_coefficient": c_log,
-            "sign_framed": sign_framed,
-            "ambient_dim": measure.ambient_dim,
-            "measure": measure_fingerprint(measure, density),
-        },
+        metadata={"log_coefficient": c_log, "sign_framed": sign_framed},
     )
 
 
@@ -485,14 +484,7 @@ def assemble_log_potential(
         raise NegativeDensityError(
             "log potential needs V >= 0; use assemble_log_kernel for signed densities"
         )
-    return AssembledOperator(
-        matrix=_log_kernel_matrix(measure, "pure_log", -1.0, density),
-        route="logkernel",
-        metadata={
-            "ambient_dim": measure.ambient_dim,
-            "measure": measure_fingerprint(measure, density),
-        },
-    )
+    return AssembledOperator(_log_kernel_matrix(measure, "pure_log", -1.0, density), "logkernel")
 
 
 def circle_angles(measure: PointCloudMeasure, center=(0.0, 0.0)) -> np.ndarray:
@@ -502,21 +494,15 @@ def circle_angles(measure: PointCloudMeasure, center=(0.0, 0.0)) -> np.ndarray:
 
 
 def steklov_modes(K: int, zero_mode: str = "drop") -> tuple[np.ndarray, np.ndarray]:
-    """The Fourier modes k kept at integer cutoff K under a zero-mode policy,
-    and the multiplier b(k) at them (see assemble_steklov_circle).
-    ValueError for an unknown policy, BudgetError past MATRIX_BUDGET."""
-    K = operator.index(K)
-    if zero_mode == "drop":
-        modes = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
-        b = np.abs(modes) ** -0.5
-    elif zero_mode == "shift":
-        modes = np.arange(-K, K + 1)
-        b = (np.abs(modes) + 1.0) ** -0.5
-    else:
+    """The Fourier modes k kept at cutoff K under a zero-mode policy, as an
+    (n, 1) array, and the multiplier b(k) at them (see
+    assemble_steklov_circle).  ValueError for an unknown policy; see
+    toeplitz_modes for K."""
+    if zero_mode not in ("drop", "shift"):
         raise ValueError(f"unknown zero-mode policy {zero_mode!r}")
-    if len(modes) > MATRIX_BUDGET:
-        raise BudgetError(f"{len(modes)} Steklov modes exceed the budget {MATRIX_BUDGET}")
-    return modes, b
+    modes = toeplitz_modes(K, drop_zero=zero_mode == "drop")
+    k = np.abs(modes[:, 0])
+    return modes, k**-0.5 if zero_mode == "drop" else (k + 1.0) ** -0.5
 
 
 def assemble_steklov_circle(
@@ -526,7 +512,8 @@ def assemble_steklov_circle(
     zero_mode: str = "drop",
     center=(0.0, 0.0),
 ) -> AssembledOperator:
-    """Weighted Steklov form on the unit circle over Fourier modes.
+    """Weighted Steklov form on the unit circle over Fourier modes: the 1-D
+    Fourier compression of the angle measure, on a circle of period 2 pi.
 
     M[k, l] = b(k) b(l) (2 pi)^{-1} sum_i w_i V_i exp(i (l - k) theta_i) with
     theta_i the angle of atom i about `center`.  The Dirichlet-to-Neumann
@@ -540,19 +527,6 @@ def assemble_steklov_circle(
     if measure.ambient_dim != 2:
         raise ValueError("the Steklov circle operator lives in the plane")
     modes, b = steklov_modes(K, zero_mode)
-    theta = circle_angles(measure, center)
-    F = _fourier_coefficients(
-        theta[:, None], measure.weights * density.values, 2 * math.pi, K
-    )
-    matrix = _toeplitz_compression(modes[:, None], b, F)
-    return AssembledOperator(
-        matrix=matrix,
-        route="steklov",
-        metadata={
-            "cutoff": K,
-            "zero_mode": zero_mode,
-            "modes": int(len(modes)),
-            "measure": measure_fingerprint(measure, density),
-        },
-    )
-
+    theta = circle_angles(measure, center)[:, None]
+    wv = measure.weights * density.values
+    return _toeplitz_operator(theta, wv, 2 * math.pi, K, modes, b, "steklov")

@@ -360,6 +360,16 @@ MALFORMED = {
     "zero_log_coefficient": {"scenario": "sphere", "operator": {"log_coefficient": 0}},
     "word_cutoff": {"scenario": "circle_fourier", "operator": {"K": "forty"}},
     "fractional_cutoff": {"scenario": "steklov_lebesgue", "operator": {"K": 150.5}},
+    "negative_fourier_cutoff": {"scenario": "circle_fourier", "operator": {"K": -1}},
+    # dropping the zero mode at K = 0 keeps no mode
+    "steklov_cutoff_keeping_no_mode": {"scenario": "steklov_lebesgue", "operator": {"K": 0}},
+    "boolean_cutoff": {"scenario": "steklov_lebesgue", "operator": {"K": True}},
+    "zero_torus_period": {"scenario": "circle_fourier", "operator": {"L": 0}},
+    "nan_torus_period": {"scenario": "circle_fourier", "operator": {"L": float("nan")}},
+    "boolean_torus_period": {"scenario": "circle_fourier", "operator": {"L": True}},
+    "center_in_3d": {"scenario": "steklov_lebesgue", "operator": {"center": [0, 0, 0]}},
+    "word_center": {"scenario": "steklov_lebesgue", "operator": {"center": "ab"}},
+    "nan_center": {"scenario": "steklov_lebesgue", "operator": {"center": [float("nan"), 0]}},
     "unknown_measure_parameter": {"scenario": "circle", "measure": {"params": {"atom": 200}}},
     "variant_without_label": {"scenario": "circle", "variants": [{"operator": {"route": "logkernel"}}]},
     "variant_without_operator": {"scenario": "steklov_lebesgue", "variants": [{"label": "shift"}]},

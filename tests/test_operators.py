@@ -415,6 +415,43 @@ def test_steklov_shift_mode():
     assert np.abs(rep.positive - expected).max() <= 1e-12
 
 
+# -- the mode rule of the Fourier and Steklov routes ----------------------------------
+
+
+def test_cutoff_zero_keeps_one_mode_unless_it_is_dropped():
+    modes, a = sl.operators.fourier_modes(0, 2, 8.0)
+    assert modes.tolist() == [[0, 0]] and a.tolist() == [1.0]
+    modes, b = sl.operators.steklov_modes(0, "shift")
+    assert modes.tolist() == [[0]] and b.tolist() == [1.0]
+    with pytest.raises(ValueError, match="keeps no mode"):
+        sl.operators.steklov_modes(0, "drop")
+
+
+@pytest.mark.parametrize("K", [-1, -3, True])
+def test_cutoff_keeping_no_mode_or_boolean_is_rejected(K):
+    with pytest.raises(ValueError):
+        sl.operators.fourier_modes(K, 2, 8.0)
+    with pytest.raises(ValueError):
+        sl.operators.steklov_modes(K, "shift")
+
+
+@pytest.mark.parametrize("L", [0, -8.0, math.nan, math.inf, True, "8"])
+def test_torus_period_must_be_finite_positive_real(L):
+    with pytest.raises(ValueError, match="torus period"):
+        sl.operators.fourier_modes(4, 2, L)
+
+
+def test_mode_budget_is_checked_before_anything_is_allocated():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="2000000 modes exceed the budget 12000"):
+            sl.operators.steklov_modes(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 # -- real cos/sin form of the Fourier and Steklov compressions -------------------------
 
 
