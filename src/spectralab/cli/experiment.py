@@ -91,8 +91,8 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def validate(self) -> None:
-        if not _is_number(self.seed, numbers.Integral):
-            raise ConfigError(f"seed must be an integer, not {self.seed!r}")
+        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
         _keys("measure", self.measure, ("name",), ("params",))
         _keys("output", self.output, takes=("svg",))
         if not isinstance(self.output.get("svg", False), bool):
@@ -103,6 +103,9 @@ class ExperimentConfig:
         ambient_dim, _ = measures.catalog_entry(self.measure["name"], self.measure.get("params"))
         for var in self.variants:
             _keys("variant", var, ("label", "operator"))
+        labels = [var["label"] for var in self.variants]
+        if not all(isinstance(label, str) and label for label in labels) or len(set(labels)) < len(labels):
+            raise ConfigError(f"variant labels must be distinct non-empty strings, not {labels!r}")
         for op_cfg in (self.operator, self.compare, *(v["operator"] for v in self.variants)):
             if op_cfg is not None:
                 _assembly(op_cfg, ambient_dim)
@@ -113,10 +116,7 @@ class ExperimentConfig:
         kind = _object("density", self.density).get("kind", "default")
         if kind not in _DENSITY_KEYS:
             raise ConfigError(f"unknown density kind {kind!r}")
-        needs, takes = _DENSITY_KEYS[kind]
-        _keys(f"{kind} density", self.density, needs, ("kind", *takes))
-        if kind == "constant" and not _is_number(self.density.get("value", 1.0)):
-            raise ConfigError(f"constant density value must be a real number, not {self.density['value']!r}")
+        _keys(f"{kind} density", self.density, _DENSITY_KEYS[kind], ("kind",))
         if kind == "file" and not isinstance(self.density["path"], str):
             raise ConfigError(f"density file path must be a string, not {self.density['path']!r}")
         if kind == "expression":
@@ -169,6 +169,8 @@ def _validate_check(check: dict, cfg: ExperimentConfig) -> None:
         if not (predicted or _is_number(value, number)):
             expected = "an integer" if number is numbers.Integral else "a real number"
             raise ConfigError(f"check {name!r} {key} must be {expected}, not {value!r}")
+    if check.get("top", 1) < 1:
+        raise ConfigError(f"check {name!r} top must be at least 1, not {check['top']!r}")
     present = {
         "compare": cfg.compare is not None,
         "analysis.order_window": "order_window" in cfg.analysis,
@@ -270,13 +272,8 @@ def _expression_values(expr, positions: np.ndarray) -> np.ndarray:
         raise ConfigError(f"density expression {expr!r} fails: {exc}") from exc
 
 
-# Density kind -> the keys it needs and the others it takes, besides "kind".
-_DENSITY_KEYS = {
-    "default": ((), ()),
-    "constant": ((), ("value",)),
-    "expression": (("expr",), ()),
-    "file": (("path",), ()),
-}
+# Density kind -> the keys it needs besides "kind", which it also takes.
+_DENSITY_KEYS = {"default": (), "expression": ("expr",), "file": ("path",)}
 
 
 def _resolve_density(
@@ -287,8 +284,6 @@ def _resolve_density(
     kind = cfg.density.get("kind", "default")
     if kind == "default":
         vals = default.values
-    elif kind == "constant":
-        vals = np.full(mu.atom_count, float(cfg.density.get("value", 1.0)))
     elif kind == "expression":
         vals = _expression_values(cfg.density["expr"], mu.positions)
     else:
@@ -721,8 +716,8 @@ def write_svg_line(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     w, h, pad = 640, 400, 50
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    x0, x1 = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
+    y0, y1 = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
     if x1 == x0:
         x1 = x0 + 1
     if y1 == y0:

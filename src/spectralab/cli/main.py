@@ -8,16 +8,22 @@ error, 3 numerical failure.  Heavy imports happen after thread-count setup so
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 THREAD_ENV = "SPECTRALAB_THREADS"
+# The largest N whose sphere area 2 pi^{N/2} / Gamma(N/2) is a finite float.
+MAX_DIM = 343
+
+
+def _thread_count(text: str) -> int:
+    """A BLAS thread count: a positive integer."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"a thread count (also read from ${THREAD_ENV}) must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _apply_thread_limit(threads: int | None) -> None:
-    if threads is None:
-        threads = os.environ.get(THREAD_ENV)
     if threads is None:
         return
     # An explicit cap overrides thread variables inherited from the shell.
@@ -31,18 +37,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectra of Birman-Schwinger operators of singular measures",
     )
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
         "--threads",
-        type=int,
-        default=None,
+        type=_thread_count,
+        # argparse parses a string default as it parses the flag
+        default=os.environ.get(THREAD_ENV) or None,
         help=f"BLAS thread cap (default: ${THREAD_ENV} if set)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to the experiment JSON")
-    p_run.add_argument("--svg", action="store_true", help="also write SVG plots")
 
     p_val = sub.add_parser("validate", help="validate a config without running it")
     p_val.add_argument("config", help="path to the experiment JSON")
@@ -50,13 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-scenarios", help="print the scenario catalog")
 
     p_tab = sub.add_parser("coeffs-table", help="export the coefficient table as CSV")
-    p_tab.add_argument("--file", default=None, help="write here instead of stdout")
     p_tab.add_argument("--max-dim", type=int, default=4, help="table covers d + codim <= N for N up to this")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     _apply_thread_limit(args.threads)
 
     from ..errors import (
@@ -81,38 +86,30 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "coeffs-table":
+            if args.max_dim > MAX_DIM:
+                parser.error(f"argument --max-dim: the sphere area overflows past N = {MAX_DIM}, not {args.max_dim}")
             from ..coeffs import coefficient_csv
 
             pairs = sorted((d, n - d) for n in range(2, args.max_dim + 1) for d in range(1, n))
-            if args.file:
-                with open(args.file, "w") as f:
-                    f.write(coefficient_csv(pairs))
-                print(f"wrote {args.file}")
-            else:
-                print(coefficient_csv(pairs), end="")
+            print(coefficient_csv(pairs), end="")
             return 0
 
         from .experiment import ExperimentConfig, run_experiment
 
         cfg = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
 
         if args.command == "validate":
             print(f"config ok: scenario {cfg.scenario!r}")
             return 0
 
-        if args.command == "run":
-            if args.svg:
-                cfg = dataclasses.replace(cfg, output={**cfg.output, "svg": True})
-            report = run_experiment(cfg, args.out)
-            for v in report.verdicts:
-                status = "PASS" if v["pass"] else "FAIL"
-                obs = v.get("observed")
-                extra = f" observed={obs:.6g}" if isinstance(obs, (int, float)) else ""
-                print(f"[{status}] {cfg.scenario}:{v['name']}{extra}")
-            print(f"report: {os.path.join(args.out, 'summary.json')}")
-            return 0 if report.all_passed else 1
+        report = run_experiment(cfg, args.out)
+        for v in report.verdicts:
+            status = "PASS" if v["pass"] else "FAIL"
+            obs = v.get("observed")
+            extra = f" observed={obs:.6g}" if isinstance(obs, (int, float)) else ""
+            print(f"[{status}] {cfg.scenario}:{v['name']}{extra}")
+        print(f"report: {os.path.join(args.out, 'summary.json')}")
+        return 0 if report.all_passed else 1
 
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -123,7 +120,6 @@ def main(argv=None) -> int:
     except SpectraLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -327,6 +327,8 @@ def spectra_match(
     Each sign is compared over min(top, len_a, len_b) entries; a sign with no
     eigenvalues on either side is skipped (floors differ between routes).
     """
+    if top < 1:
+        raise ValueError(f"top must be at least 1, not {top}")
     if len(a.positive) + len(a.negative) == 0 or len(b.positive) + len(b.negative) == 0:
         raise ValueError("both reports must carry some spectrum")
     devs = {}

@@ -54,7 +54,7 @@ REDUCED = {
     "negative_circle": {
         "scenario": "half_signed_circle",
         "measure": {"params": {"atoms": 400}},
-        "density": {"kind": "constant", "value": -1.0},
+        "density": {"kind": "expression", "expr": "-1.0"},
         "checks": [{"name": "signed_dixmier", "kind": "dixmier_signed", "target": -0.5, "tol": 1.0}],
     },
     "steklov_lebesgue": {"scenario": "steklov_lebesgue"},

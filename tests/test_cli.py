@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import weakref
@@ -13,7 +14,7 @@ import pytest
 import spectralab
 from spectralab import coeffs, measures, operators
 from spectralab.cli.experiment import ExperimentConfig, _resolve_density, run_experiment
-from spectralab.cli.main import main
+from spectralab.cli.main import MAX_DIM, main
 from spectralab.errors import ScenarioError
 from spectralab.spectral import read_spectrum_csv
 
@@ -181,9 +182,20 @@ def test_cli_coeffs_table(capsys, tmp_path):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "d,codim,printed,calibrated"
 
-    target = tmp_path / "coeffs.csv"
-    assert main(["coeffs-table", "--file", str(target)]) == 0
-    assert target.read_text() == out
+    assert main(["coeffs-table", "--max-dim", "3"]) == 0
+    assert capsys.readouterr().out == coeffs.coefficient_csv([(1, 1), (1, 2), (2, 1)])
+
+
+def test_coeffs_table_reaches_the_largest_dimension_with_a_sphere_area(capsys):
+    assert math.isfinite(coeffs.sphere_area(MAX_DIM))
+    with pytest.raises(OverflowError):
+        coeffs.sphere_area(MAX_DIM + 1)
+    assert main(["coeffs-table", "--max-dim", str(MAX_DIM)]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + MAX_DIM * (MAX_DIM - 1) // 2
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs-table", "--max-dim", "400"])
+    assert exc.value.code == 2
+    assert f"past N = {MAX_DIM}" in capsys.readouterr().err
 
 
 def test_svg_output(tmp_path):
@@ -193,6 +205,21 @@ def test_svg_output(tmp_path):
     run_experiment(cfg, tmp_path / "out")
     svg = (tmp_path / "out" / "weyl.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_svg_of_a_spectrum_with_no_positive_eigenvalue(tmp_path):
+    raw = {
+        "scenario": "circle",
+        "measure": {"params": {"atoms": 200}},
+        "density": {"kind": "expression", "expr": "-1.0"},
+        "variants": [],
+        "checks": [],
+        "output": {"svg": True},
+    }
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 0
+    assert '<polyline points=""' in (out / "weyl.svg").read_text()
+    assert (out / "dixmier.svg").exists() and not (out / "FAILED").exists()
 
 
 def test_failed_marker_on_stage_error(tmp_path):
@@ -287,6 +314,24 @@ def test_threads_flag_overrides_inherited_blas_variables(monkeypatch):
     monkeypatch.setenv("SPECTRALAB_THREADS", "3")
     assert main(["list-scenarios"]) == 0
     assert all(os.environ[var] == "3" for var in BLAS_THREAD_VARS)
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "abc"])
+def test_thread_count_that_is_no_positive_integer_exits_2(monkeypatch, capsys, count):
+    # argument handling only: every call stops before a thread variable is set
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    monkeypatch.delenv("SPECTRALAB_THREADS", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", count, "list-scenarios"])
+    assert exc.value.code == 2
+
+    monkeypatch.setenv("SPECTRALAB_THREADS", count)
+    with pytest.raises(SystemExit) as exc:
+        main(["list-scenarios"])
+    assert exc.value.code == 2
+    assert "SPECTRALAB_THREADS" in capsys.readouterr().err
+    assert all(os.environ[var] == "7" for var in BLAS_THREAD_VARS)
 
 
 def test_every_lazy_export_resolves():
@@ -384,8 +429,21 @@ MALFORMED = {
     "file_density_without_path": {"scenario": "circle", "density": {"kind": "file"}},
     "analysis_window_fractions": {"scenario": "circle", "analysis": {"window_fractions": [0.1, 0.3]}},
     "fractional_window": {"scenario": "circle", "analysis": {"window": [100.5, 500]}},
-    "word_density_value": {"scenario": "circle", "density": {"kind": "constant", "value": "abc"}},
+    "word_density_value": {"scenario": "circle", "density": {"kind": "expression", "expr": "abc"}},
+    "number_density_expression": {"scenario": "circle", "density": {"kind": "expression", "expr": 3.0}},
+    "constant_density_kind": {"scenario": "circle", "density": {"kind": "constant", "value": 3.0}},
     "word_seed": {"scenario": "circle", "seed": "x"},
+    # np.random.default_rng takes no negative seed
+    "negative_seed": {"scenario": "circle", "seed": -1},
+    "zero_top": _check_config("circle_fourier", {"kind": "route_match", "top": 0, "tol": 0.1}),
+    "negative_top": _check_config("circle_fourier", {"kind": "route_match", "top": -1, "tol": 0.1}),
+    # no checks: the circle's own check names the variant pure_log
+    "duplicate_variant_labels": {"scenario": "circle", "checks": [], "variants": [
+        {"label": "a", "operator": {"route": "logkernel"}},
+        {"label": "a", "operator": {"route": "logkernel", "kernel": "pure_log"}},
+    ]},
+    "list_variant_label": {"scenario": "circle", "checks": [], "variants": [{"label": ["a"], "operator": {"route": "logkernel"}}]},
+    "empty_variant_label": {"scenario": "circle", "checks": [], "variants": [{"label": "", "operator": {"route": "logkernel"}}]},
     "word_tol": _check_config("circle", {"kind": "dixmier_plateau", "tol": "x"}),
     "zero_atoms": {"scenario": "circle", "measure": {"params": {"atoms": 0}}},
     "negative_radius": {"scenario": "circle", "measure": {"params": {"radius": -1.0}}},
@@ -401,7 +459,7 @@ MALFORMED = {
     "ufunc_of_the_wrong_type": {"scenario": "circle", "density": {"kind": "expression", "expr": "np.bitwise_and(x, 1)"}},
     "coordinate_past_the_plane": {"scenario": "circle", "density": {"kind": "expression", "expr": "1 + z"}},
     "coordinate_past_the_sphere_space": {"scenario": "sphere", "density": {"kind": "expression", "expr": "1 + x3"}},
-    "density_value_typo": {"scenario": "circle", "density": {"kind": "constant", "valeu": 3.0}},
+    "density_value_typo": {"scenario": "circle", "density": {"kind": "expression", "exrp": "3.0"}},
     "check_sign_typo": _check_config("circle", {"kind": "plateau", "sgn": "-", "target": 1.0, "tol": 0.1}),
     "top_level_key_typo": {"scenario": "circle", "analyis": {"window": [10, 50]}},
     "measure_key_typo": {"scenario": "circle", "measure": {"parms": {"atoms": 200}}},
@@ -433,7 +491,7 @@ def test_density_expression_is_validated_in_the_measure_dimension():
 
 
 @pytest.mark.parametrize(
-    "density", [{"kind": "constant", "value": 0}, {"kind": "expression", "expr": "0 * x"}], ids=["constant", "expression"]
+    "density", [{"kind": "expression", "expr": "0"}, {"kind": "expression", "expr": "0 * x"}], ids=["constant", "expression"]
 )
 def test_density_zero_on_every_atom_is_config_error(tmp_path, density):
     raw = {**SMALL_CIRCLE, "density": density, "checks": []}

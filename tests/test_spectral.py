@@ -528,6 +528,16 @@ def test_spectra_match_detects_difference():
     assert res.worst > 0.2
 
 
+@pytest.mark.parametrize("top", [0, -1])
+def test_spectra_match_compares_at_least_one_eigenvalue(top):
+    # top 0 compared nothing and matched spectra five-fold apart; top -1
+    # compared every eigenvalue but the last
+    a = _report_from(1.0 / np.arange(1, 101))
+    b = _report_from(5.0 / np.arange(1, 101))
+    with pytest.raises(ValueError, match="top must be at least 1"):
+        spectra_match(a, b, top=top, rel_tol=0.1)
+
+
 # -- consistency invariant ----------------------------------------------------------------
 
 
