@@ -101,6 +101,7 @@ class ExperimentConfig:
             if not isinstance(getattr(self, key), list):
                 raise ConfigError(f"{key} must be a list, not {getattr(self, key)!r}")
         ambient_dim, _ = measures.catalog_entry(self.measure["name"], self.measure.get("params"))
+        atoms, _ = measures.atom_count(self.measure["name"], self.measure.get("params"))
         for var in self.variants:
             _keys("variant", var, ("label", "operator"))
         labels = [var["label"] for var in self.variants]
@@ -108,7 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"variant labels must be distinct non-empty strings, not {labels!r}")
         for op_cfg in (self.operator, self.compare, *(v["operator"] for v in self.variants)):
             if op_cfg is not None:
-                _assembly(op_cfg, ambient_dim)
+                _assembly(op_cfg, ambient_dim, atoms)
         _keys("analysis", self.analysis, takes=("window", "order_window"))
         for key, win in self.analysis.items():
             if not (isinstance(win, (list, tuple)) and list(map(type, win)) == [int, int] and 1 <= win[0] <= win[1]):
@@ -280,7 +281,8 @@ def _resolve_density(
     cfg: ExperimentConfig, mu: measures.PointCloudMeasure, default: measures.SignedDensity
 ) -> measures.SignedDensity:
     """The configured density on the atoms; ConfigError if it is not finite on
-    some atom or zero on every atom."""
+    some atom or zero on every atom, or if a density file does not hold one
+    value per line and one line per atom."""
     kind = cfg.density.get("kind", "default")
     if kind == "default":
         vals = default.values
@@ -290,11 +292,14 @@ def _resolve_density(
         path = cfg.density["path"]
         try:
             with open(path) as f:  # no values: none read, and no np.loadtxt warning
-                vals = np.loadtxt(f, dtype=float).reshape(-1) if measures._rows_follow(f, "#") else np.empty(0)
+                table = np.loadtxt(f, dtype=float, ndmin=2) if measures._rows_follow(f, "#") else np.empty((0, 1))
         except FileNotFoundError as exc:
             raise ConfigError(f"density file not found: {path}") from exc
         except (OSError, ValueError) as exc:
             raise ConfigError(f"density file {path} cannot be read: {exc}") from exc
+        if table.shape[1] != 1:
+            raise ConfigError(f"density file {path} has {table.shape[1]} columns; it must hold one value per line")
+        vals = table[:, 0]
         if len(vals) != mu.atom_count:
             raise ConfigError(f"density file holds {len(vals)} values for {mu.atom_count} atoms")
     bad = int(np.count_nonzero(~np.isfinite(vals)))
@@ -313,10 +318,11 @@ _ROUTE_KEYS = {
 }
 
 
-def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
-    """The assembly call of an operator config, as a function of (mu, v).
-    Every parameter is checked now, before any measure exists, by the
-    library's own checks (the Steklov center here); a failure is a
+def _assembly(op_cfg: dict, ambient_dim: int, atoms: int) -> Callable:
+    """The assembly call of an operator config, as a function of (mu, v) on
+    a measure of `atoms` atoms in R^ambient_dim.  Every parameter, and the
+    order of a log-kernel matrix, is checked now, before any measure exists,
+    by the library's own checks (the Steklov center here); a failure is a
     ConfigError.  The call looks up operators.assemble_* when it runs, so
     that wrappers of them see it."""
     route = _object("operator", op_cfg).get("route")
@@ -338,6 +344,7 @@ def _assembly(op_cfg: dict, ambient_dim: int) -> Callable:
             if len(center) != 2 or not all(_is_number(c) and math.isfinite(c) for c in center):
                 raise ValueError(f"center must be two finite reals, not {op_cfg['center']!r}")
             return lambda mu, v: operators.assemble_steklov_circle(mu, v, K=K, zero_mode=zero_mode, center=center)
+        operators.check_budget(atoms, "atoms")
     except (ValueError, TypeError, BudgetError) as exc:
         raise ConfigError(f"{route} operator {op_cfg}: {exc}") from exc
     kernel = op_cfg.get("kernel", "pure_log")
@@ -657,7 +664,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
 
         def spectrum(op_cfg: dict, suffix: str = "") -> spectral.EigenReport:
             # The operator is local, so its matrix is freed before the next is built.
-            op = tick(f"assemble{suffix}", _assembly(op_cfg, mu.ambient_dim), mu, v)
+            op = tick(f"assemble{suffix}", _assembly(op_cfg, mu.ambient_dim, mu.atom_count), mu, v)
             return tick(f"eigensolve{suffix}", spectral.eigen_spectrum, op)
 
         primary = spectrum(cfg.operator)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config/validation
-error, 3 numerical failure.  Heavy imports happen after thread-count setup so
+Exit codes: 0 every verdict passes, 1 a verdict failed, 2 the config is at
+fault (a ConfigError, or an argument argparse rejects), 3 the run failed for
+any other reason.  Heavy imports happen after thread-count setup so
 --threads (or SPECTRALAB_THREADS) can cap the BLAS pools.
 """
 
@@ -12,8 +13,9 @@ import os
 import sys
 
 THREAD_ENV = "SPECTRALAB_THREADS"
-# The largest N whose sphere area 2 pi^{N/2} / Gamma(N/2) is a finite float.
-MAX_DIM = 343
+# The largest N whose coefficients (d + codim = N) are all normal floats:
+# from N = 226 on the smallest is subnormal, and from N = 236 on it is 0.0.
+MAX_DIM = 225
 
 
 def _thread_count(text: str) -> int:
@@ -64,16 +66,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _apply_thread_limit(args.threads)
 
-    from ..errors import (
-        ConfigError,
-        DegenerateKernelError,
-        EvaluationError,
-        SaturationError,
-        SolverError,
-        SpectraLabError,
-    )
-
-    numerical = (SolverError, SaturationError, DegenerateKernelError, EvaluationError)
+    from ..errors import ConfigError
 
     try:
         if args.command == "list-scenarios":
@@ -87,7 +80,7 @@ def main(argv=None) -> int:
 
         if args.command == "coeffs-table":
             if args.max_dim > MAX_DIM:
-                parser.error(f"argument --max-dim: the sphere area overflows past N = {MAX_DIM}, not {args.max_dim}")
+                parser.error(f"argument --max-dim: past N = {MAX_DIM} the coefficients fall below the normal floats, not {args.max_dim}")
             from ..coeffs import coefficient_csv
 
             pairs = sorted((d, n - d) for n in range(2, args.max_dim + 1) for d in range(1, n))
@@ -114,12 +107,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except numerical as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except SpectraLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,23 @@
 """Exception hierarchy for spectralab.
 
 Every error raised by the package derives from SpectraLabError so callers
-(and the CLI exit-code mapping) can distinguish package failures from bugs.
+can distinguish package failures from bugs.  The CLI reads one thing off
+the hierarchy: a ConfigError is the config's fault (exit code 2), and any
+other exception is not (exit code 3).
 """
 
 
 class SpectraLabError(Exception):
     """Base class for all spectralab errors."""
+
+
+class ConfigError(SpectraLabError):
+    """A fault of the experiment configuration: a value the config sets that
+    the run cannot take.  The CLI exits 2 on it, and 3 on any other error."""
+
+
+class ScenarioError(ConfigError):
+    """Unknown scenario or measure name, or a parameter the measure does not take."""
 
 
 class DegenerateSystemError(SpectraLabError):
@@ -17,7 +28,7 @@ class InvalidRatioError(SpectraLabError):
     """Contraction ratio outside the open interval (0, 1)."""
 
 
-class BudgetError(SpectraLabError):
+class BudgetError(ConfigError):
     """Atom or matrix budget exceeded."""
 
 
@@ -37,7 +48,7 @@ class DimensionMismatchError(SpectraLabError):
     """Ambient dimensions of combined measures disagree."""
 
 
-class SupportTooLargeError(SpectraLabError):
+class SupportTooLargeError(ConfigError):
     """Measure support does not fit in the torus localization box."""
 
 
@@ -61,13 +72,5 @@ class SolverError(SpectraLabError):
     """Dense eigensolver failed; message carries a condition summary."""
 
 
-class SpectralWindowError(SpectraLabError):
+class SpectralWindowError(ConfigError):
     """Analysis window empty or spectrum too short for it."""
-
-
-class ConfigError(SpectraLabError):
-    """Invalid experiment configuration."""
-
-
-class ScenarioError(ConfigError):
-    """Unknown scenario or measure name, or a parameter the measure does not take."""

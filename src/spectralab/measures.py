@@ -692,10 +692,13 @@ PARAM_LENGTHS = ("radius", "r1", "r2", "length", "side")
 IFS_MAPS = {"cantor_line": 2, "cantor_circle": 2, "steklov_cantor": 2, "sierpinski": 3}
 
 
-def _check_atom_count(name: str, params: dict) -> None:
-    """ScenarioError if the catalog measure would build more atoms than
-    ATOM_BUDGET from its full params: `atoms`, plus `cells`^2 for a
-    square grid, plus maps^depth for a self-similar measure."""
+def atom_count(name: str, params: dict | None = None) -> tuple[int, str]:
+    """The number of atoms the catalog measure builds from params, with the
+    builder's defaults for the rest, and the sum it is: `atoms`, plus
+    `cells`^2 for a square grid, plus maps^depth for a self-similar
+    measure.  The params are ones catalog_entry accepts."""
+    build = BUILTIN_MEASURES[name][1]
+    params = {key: p.default for key, p in inspect.signature(build).parameters.items()} | (params or {})
     terms, count = [], 0
     if "atoms" in params:
         terms.append(f"{params['atoms']}")
@@ -707,10 +710,7 @@ def _check_atom_count(name: str, params: dict) -> None:
         maps, depth = IFS_MAPS[name], params["depth"]
         terms.append(f"{maps}^{depth}")
         count += maps ** min(depth, 64)  # 2^64 is past any budget; no huge power
-    if count > ATOM_BUDGET:
-        raise ScenarioError(
-            f"measure {name!r} would build {' + '.join(terms)} atoms, past the atom budget {ATOM_BUDGET}"
-        )
+    return count, " + ".join(terms)
 
 
 def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]:
@@ -740,7 +740,9 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
             ok, bound = math.isfinite(value), "finite"
         if not ok:
             raise ScenarioError(f"measure {name!r} parameter {key!r} must be {bound}, not {value!r}")
-    _check_atom_count(name, {key: p.default for key, p in known.items()} | (params or {}))
+    count, terms = atom_count(name, params)
+    if count > ATOM_BUDGET:
+        raise ScenarioError(f"measure {name!r} would build {terms} atoms, past the atom budget {ATOM_BUDGET}")
     return ambient_dim, build
 
 

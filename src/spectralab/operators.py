@@ -40,7 +40,8 @@ from .errors import (
 )
 from .measures import PointCloudMeasure, SignedDensity, check_pairing
 
-# Largest order of a Fourier or Steklov compression.
+# Largest order of a dense operator matrix: the modes of a Fourier or
+# Steklov compression, the atoms of a log-kernel matrix.
 MATRIX_BUDGET = 12_000
 # The log-kernel choices: the pure log kernel, and the exact Bessel kernel
 # c_N K_0 of (1 - Laplace)^{-N/2} in every dimension N.
@@ -155,6 +156,13 @@ class AssembledOperator:
         return self.matrix.shape[0]
 
 
+def check_budget(order: int, unit: str) -> None:
+    """BudgetError if a matrix of this order, counted in units (modes or
+    atoms), is past MATRIX_BUDGET."""
+    if order > MATRIX_BUDGET:
+        raise BudgetError(f"{order} {unit} exceed the budget {MATRIX_BUDGET}")
+
+
 def toeplitz_modes(K: int, n_dim: int = 1, drop_zero: bool = False) -> np.ndarray:
     """The integer frequencies xi in R^n_dim with |xi|_inf <= K, in C order,
     less xi = 0 when drop_zero: an (n, n_dim) array.  ValueError for a K
@@ -166,8 +174,7 @@ def toeplitz_modes(K: int, n_dim: int = 1, drop_zero: bool = False) -> np.ndarra
     count = (2 * K + 1) ** n_dim - drop_zero
     if K < 0 or count < 1:
         raise ValueError(f"cutoff K = {K} keeps no mode")
-    if count > MATRIX_BUDGET:
-        raise BudgetError(f"{count} modes exceed the budget {MATRIX_BUDGET}")
+    check_budget(count, "modes")
     mesh = np.meshgrid(*[np.arange(-K, K + 1)] * n_dim, indexing="ij")
     modes = np.stack([m.ravel() for m in mesh], axis=-1)
     return np.delete(modes, len(modes) // 2, axis=0) if drop_zero else modes
@@ -363,7 +370,9 @@ def _log_kernel_matrix(
     come from cdist, the kernel and the frame are evaluated on the block,
     and it is written to its rows and, transposed, to its columns.  An
     entry of the frame is 0.5 ((k_ij r_i) r_j + (k_ij r_j) r_i) with
-    r = sqrt(D), which is the same number on both sides of the diagonal."""
+    r = sqrt(D), which is the same number on both sides of the diagonal.
+    BudgetError past MATRIX_BUDGET atoms, before anything is allocated."""
+    check_budget(measure.atom_count, "atoms")
     # exact 1-d cell mean of -log over a cell of width delta
     diag = c_log * (1.0 - np.log(_nn_distances(measure) / 2.0))
     if kernel == "bessel":

@@ -142,7 +142,7 @@ def _oracle(check, report) -> dict:
         entry["pass"] = entry["pass"] and rel_printed > tol
     elif kind == "variant_plateau":
         (var,) = [var for var in cfg.variants if var["label"] == check["variant"]]
-        rep = spectral.eigen_spectrum(experiment._assembly(var["operator"], mu.ambient_dim)(mu, v))
+        rep = spectral.eigen_spectrum(experiment._assembly(var["operator"], mu.ambient_dim, mu.atom_count)(mu, v))
         entry.update(graded(plateau(rep).plateau, plateau(primary).plateau))
     elif kind == "dixmier_plateau":
         entry.update(graded(spectral.dixmier_sequence(primary.positive).final, plateau(primary).plateau))

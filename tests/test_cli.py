@@ -2,9 +2,9 @@
 
 import dataclasses
 import json
-import math
 import os
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -169,6 +169,54 @@ def test_cli_signed_density_on_indefinite_kernel_exits_3(tmp_path, capsys):
     assert "assemble" in (out / "FAILED").read_text()
 
 
+# Configs that validate, but whose runs fail for a reason that is not the
+# config's, and the stage at which each fails.
+FAILING_RUNS = {
+    "circle_radius_1e308": (
+        {"scenario": "circle", "measure": {"params": {"atoms": 200, "radius": 1e308}}, "variants": [], "checks": []},
+        "measure",
+    ),
+    "sphere_radius_1e200": (
+        {"scenario": "sphere", "measure": {"params": {"atoms": 200, "radius": 1e200}}, "checks": []},
+        "measure",
+    ),
+    "square_side_1e200": (
+        {"scenario": "circle_plus_square", "measure": {"params": {"atoms": 200, "cells": 4, "side": 1e200}}, "checks": []},
+        "measure",
+    ),
+    "circle_radius_1e-300": (
+        {"scenario": "circle", "measure": {"params": {"atoms": 200, "radius": 1e-300}}, "variants": [], "checks": []},
+        "orlicz",
+    ),
+    "circle_gap_1e308": (
+        {"scenario": "two_circles", "measure": {"params": {"atoms": 200, "gap": 1e308}}, "checks": []},
+        "diagnostics",
+    ),
+}
+
+
+@pytest.mark.parametrize("raw, stage", FAILING_RUNS.values(), ids=FAILING_RUNS.keys())
+def test_run_failure_that_is_not_the_configs_exits_3(tmp_path, capsys, raw, stage):
+    # exit code 1 is kept for a failed verdict
+    path = _write_config(tmp_path, raw)
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(path)]) == 3
+    failed = (out / "FAILED").read_text()
+    assert failed.startswith(f"stage: {stage}\nerror: ")
+    error = failed.split("error: ")[1].split("(")[0]
+    assert f"run failed: {error}: " in capsys.readouterr().err
+
+
+def test_support_too_large_for_the_torus_is_config_error(tmp_path, capsys):
+    # a circle of radius 3 spans 6, past L/2 = 4 of the circle_fourier torus
+    raw = {"scenario": "circle_fourier", "measure": {"params": {"atoms": 200, "radius": 3.0}}, "compare": None, "checks": []}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    assert (out / "FAILED").read_text().startswith("stage: assemble\nerror: SupportTooLargeError(")
+    assert "config error: support box side" in capsys.readouterr().err
+
+
 def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     text = capsys.readouterr().out
@@ -186,14 +234,13 @@ def test_cli_coeffs_table(capsys, tmp_path):
     assert capsys.readouterr().out == coeffs.coefficient_csv([(1, 1), (1, 2), (2, 1)])
 
 
-def test_coeffs_table_reaches_the_largest_dimension_with_a_sphere_area(capsys):
-    assert math.isfinite(coeffs.sphere_area(MAX_DIM))
-    with pytest.raises(OverflowError):
-        coeffs.sphere_area(MAX_DIM + 1)
+def test_coeffs_table_stops_where_its_coefficients_are_normal_floats(capsys):
     assert main(["coeffs-table", "--max-dim", str(MAX_DIM)]) == 0
-    assert capsys.readouterr().out.count("\n") == 1 + MAX_DIM * (MAX_DIM - 1) // 2
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == MAX_DIM * (MAX_DIM - 1) // 2
+    assert min(float(x) for row in rows for x in row.split(",")[2:]) >= sys.float_info.min
     with pytest.raises(SystemExit) as exc:
-        main(["coeffs-table", "--max-dim", "400"])
+        main(["coeffs-table", "--max-dim", str(MAX_DIM + 1)])
     assert exc.value.code == 2
     assert f"past N = {MAX_DIM}" in capsys.readouterr().err
 
@@ -471,6 +518,13 @@ MALFORMED = {
     "checks_not_a_list": {"scenario": "circle", "checks": 3},
     "variants_not_a_list": {"scenario": "circle", "variants": 3},
     "svg_not_a_boolean": {"scenario": "circle", "output": {"svg": "no"}},
+    # the order of a log-kernel matrix is the atom count, which MATRIX_BUDGET
+    # bounds as it bounds the modes: primary, compare, variant, IFS depth
+    "log_kernel_past_matrix_budget": {"scenario": "circle", "measure": {"params": {"atoms": 200_000}}},
+    "log_kernel_compare_past_matrix_budget": {"scenario": "circle_fourier", "measure": {"params": {"atoms": 20_000}}},
+    "log_kernel_variant_past_matrix_budget": {"scenario": "steklov_lebesgue", "measure": {"params": {"atoms": 12_001}},
+                                              "variants": [{"label": "log", "operator": {"route": "logkernel"}}], "checks": []},
+    "log_kernel_ifs_past_matrix_budget": {"scenario": "cantor_line", "measure": {"params": {"depth": 14}}},
 }
 
 
@@ -588,6 +642,9 @@ def test_missing_density_file_is_config_error(tmp_path):
     (None, "cannot be read"),  # a directory
     ("", "holds 0 values for 400 atoms"),  # without numpy's no-data warning
     ("# only a comment\n", "holds 0 values for 400 atoms"),
+    # 400 values, but not one per line
+    pytest.param("1.0 2.0\n" * 200, "has 2 columns", id="two_columns"),
+    pytest.param(" ".join(["1.0"] * 400), "has 400 columns", id="one_row"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_unreadable_density_file_is_config_error(tmp_path, content, message):

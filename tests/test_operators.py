@@ -452,6 +452,23 @@ def test_mode_budget_is_checked_before_anything_is_allocated():
     assert peak < 1e6
 
 
+def test_log_kernel_atom_budget_is_checked_before_anything_is_allocated(monkeypatch):
+    # the order of a log-kernel matrix is the atom count
+    monkeypatch.setattr(sl.operators, "MATRIX_BUDGET", 100)
+    mu, v = sl.builtin_measure("circle", {"atoms": 100})
+    assert sl.assemble_log_kernel(mu, v).size == 100
+
+    def unreachable(*args):
+        raise AssertionError("allocated past the budget")
+
+    monkeypatch.setattr(sl.operators, "_mapped_matrix", unreachable)
+    monkeypatch.setattr(sl.operators, "_nn_distances", unreachable)
+    mu, v = sl.builtin_measure("circle", {"atoms": 101})
+    for assemble in (sl.assemble_log_kernel, sl.operators.assemble_log_potential):
+        with pytest.raises(BudgetError, match="101 atoms exceed the budget 100"):
+            assemble(mu, v)
+
+
 # -- real cos/sin form of the Fourier and Steklov compressions -------------------------
 
 
