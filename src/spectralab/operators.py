@@ -46,8 +46,9 @@ MATRIX_BUDGET = 12_000
 # The log-kernel choices: the pure log kernel, and the exact Bessel kernel
 # c_N K_0 of (1 - Laplace)^{-N/2} in every dimension N.
 KERNELS = ("pure_log", "bessel")
-# Entries of the per-axis exponential factors of one atom chunk of the
-# Fourier coefficient sum (2^16 complex entries: 1 MB).
+# Entries of the per-axis exponential tables of one atom chunk of the
+# Fourier coefficient sum (2^16 complex entries: 1 MB), counted as
+# _table_entries counts them.
 FOURIER_CHUNK_ELEMENTS = 2**16
 # Entries of one block temporary of an n x n assembly (2^15 doubles:
 # 256 KB).  A block holds a few of them at once, so a build works in far
@@ -94,10 +95,11 @@ def _mirror_lower(m: np.ndarray) -> None:
     """m's strict upper triangle <- the transpose of its strict lower one,
     in blocks of _MIRROR_ROWS rows; the diagonal is not read."""
     n = m.shape[0]
+    full = np.triu_indices(_MIRROR_ROWS, 1)
     for i0 in range(0, n, _MIRROR_ROWS):
         i1 = min(i0 + _MIRROR_ROWS, n)
         block = m[i0:i1, i0:i1]
-        upper = np.triu_indices(i1 - i0, 1)
+        upper = full if i1 - i0 == _MIRROR_ROWS else np.triu_indices(i1 - i0, 1)
         block[upper] = block.T[upper]
         m[i0:i1, i1:] = m[i1:, i0:i1].T
 
@@ -180,24 +182,56 @@ def toeplitz_modes(K: int, n_dim: int = 1, drop_zero: bool = False) -> np.ndarra
     return np.delete(modes, len(modes) // 2, axis=0) if drop_zero else modes
 
 
+def _steps(r: np.ndarray) -> tuple[int, int, int]:
+    """The baby-step/giant-step split of the consecutive integers r: the
+    baby-step count B = ceil(sqrt(len(r))), the first giant step
+    q0 = floor(r[0] / B) and the giant-step count, so that every eta in r
+    is q B + b with q0 <= q < q0 + count and 0 <= b < B."""
+    B = math.isqrt(len(r) - 1) + 1
+    q0 = int(r[0]) // B
+    return B, q0, int(r[-1]) // B - q0 + 1
+
+
+def _table_entries(rows: list[np.ndarray]) -> int:
+    """Table entries a chunk holds per atom: each axis's giant and baby steps
+    and, past one axis, the product table they are multiplied out to."""
+    return sum(B + count + (len(rows) > 1) * B * count for B, _, count in map(_steps, rows))
+
+
 def _chunk_coefficients(
     rows: list[np.ndarray], pos: np.ndarray, w: np.ndarray, L: float
 ) -> np.ndarray:
     """sum_i w_i prod_ax exp(2 pi i eta_ax X_i,ax / L) over one chunk of atoms,
-    for eta on the grid rows[0] x rows[1] x ...  Each per-axis factor is
-    exponentiated in place, and all are freed on return."""
+    for eta on the grid rows[0] x rows[1] x ...  (each row consecutive
+    integers).
+
+    Per axis eta = q B + b (see _steps), and exp(i eta phi) is the giant
+    step exp(i q B phi) times the baby step exp(i b phi): about 2 sqrt(n)
+    exponentials per atom for n frequencies.  Giant steps are anchored at
+    multiples of B, so eta = 0 is exp(0) exp(0) = 1 exactly.  In 1-D the sum
+    is one product of the giant-step table with the weighted baby-step
+    table; past one axis each axis's product table is multiplied out and
+    the tables are contracted.  All tables are freed on return."""
     factors = []
     for ax, r in enumerate(rows):
-        phase = 2j * math.pi / L * np.outer(r, pos[:, ax])
-        factors.append(np.exp(phase, out=phase))
-    factors[0] *= w
-    if len(rows) == 1:
-        # numpy's pairwise sum: on the 400-atom circle F(0) is off by
-        # 2e-16 relative, against 4e-15 through a gemv
-        return factors[0].sum(axis=1)
+        B, q0, count = _steps(r)
+        phi = pos[:, ax] * (2 * math.pi / L)
+        giant = 1j * np.outer(np.arange(q0, q0 + count) * B, phi)
+        np.exp(giant, out=giant)
+        baby = 1j * np.outer(np.arange(B), phi)
+        np.exp(baby, out=baby)
+        if ax == 0:
+            baby *= w
+        start = int(r[0]) - q0 * B
+        if len(rows) == 1:
+            # G Sw^T through scipy's BLAS (see _cholesky_frame): both .T are
+            # Fortran-order views, so nothing is copied; entry (q, b) is
+            # eta = (q0 + q) B + b
+            return zgemm(1.0, giant.T, baby.T, trans_a=1).ravel()[start : start + len(r)]
+        table = np.multiply(giant[:, None, :], baby[None, :, :]).reshape(B * count, -1)
+        factors.append(table[start : start + len(r)])
     if len(rows) == 2:
-        # F0 F1^T through scipy's BLAS (see _cholesky_frame): both .T are
-        # Fortran-order views, so nothing is copied
+        # F0 F1^T through scipy's BLAS: both .T are Fortran-order views
         return zgemm(1.0, factors[0].T, factors[1].T, trans_a=1)
     letters = "abcdef"[: len(rows)]
     return np.einsum(",".join(f"{c}i" for c in letters) + "->" + letters, *factors)
@@ -209,16 +243,17 @@ def _fourier_coefficients(
     """F(eta) = L^{-N} sum_i wv_i exp(2 pi i eta . X_i / L) for |eta|_inf <= 2K.
 
     Returned as an N-d array centred at eta = 0.  Only the half eta_0 <= 0 is
-    summed (per-axis factors); the rest is its mirror image, so
-    F(-eta) = conj F(eta) holds exactly.  The atoms are summed in chunks
-    whose factors hold about FOURIER_CHUNK_ELEMENTS entries in all, so the
-    working set does not grow with the atom count.
+    summed (per-axis baby-step/giant-step tables, see _chunk_coefficients);
+    the rest is its mirror image, so F(-eta) = conj F(eta) holds exactly.
+    The atoms are summed in chunks whose tables hold about
+    FOURIER_CHUNK_ELEMENTS entries in all, so the working set does not grow
+    with the atom count.
     """
     n_atoms, n_dim = positions.shape
     diff = np.arange(-2 * K, 2 * K + 1)
     rows = [diff[: 2 * K + 1]] + [diff] * (n_dim - 1)
     half = np.zeros(tuple(len(r) for r in rows), dtype=complex)
-    chunk = max(1, FOURIER_CHUNK_ELEMENTS // sum(len(r) for r in rows))
+    chunk = max(1, FOURIER_CHUNK_ELEMENTS // _table_entries(rows))
     for i0 in range(0, n_atoms, chunk):
         half += _chunk_coefficients(rows, positions[i0 : i0 + chunk], wv[i0 : i0 + chunk], L)
     half /= L**n_dim

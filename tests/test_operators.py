@@ -30,6 +30,8 @@ from spectralab.operators import (
     PANEL_ELEMENTS,
     _cholesky_frame,
     _fourier_coefficients,
+    _steps,
+    _table_entries,
     circle_angles,
 )
 from spectralab.orlicz import luxemburg_norm
@@ -588,7 +590,8 @@ def _reference_coefficients(positions, wv, L, K):
 @pytest.mark.parametrize("chunks", ["below_one_chunk", "ragged_chunks"])
 @pytest.mark.parametrize("n_dim, K", [(1, 8), (2, 5), (3, 2)], ids=["1d", "2d", "3d"])
 def test_fourier_coefficients_match_the_per_atom_sum(n_dim, K, chunks):
-    chunk = FOURIER_CHUNK_ELEMENTS // ((2 * K + 1) + (n_dim - 1) * (4 * K + 1))
+    rows = [np.arange(-2 * K, 1)] + [np.arange(-2 * K, 2 * K + 1)] * (n_dim - 1)
+    chunk = FOURIER_CHUNK_ELEMENTS // _table_entries(rows)
     n = chunk // 2 if chunks == "below_one_chunk" else 2 * chunk + 7
     rng = np.random.default_rng(n)
     mu, v = _signed_cloud(rng, n, n_dim, 1.5)
@@ -597,6 +600,49 @@ def test_fourier_coefficients_match_the_per_atom_sum(n_dim, K, chunks):
     ref = _reference_coefficients(mu.positions, wv, 4.0, K)
     assert np.abs(F - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.array_equal(np.flip(F), F.conj())
+
+
+def _longdouble_coefficients(positions, wv, L, K):
+    # the per-atom sum of _reference_coefficients with phases and sums in
+    # long double, so that it grades rounding in the phases too
+    n_dim = positions.shape[1]
+    axes = np.meshgrid(*[np.arange(-2 * K, 2 * K + 1)] * n_dim, indexing="ij")
+    eta = np.stack([m.ravel() for m in axes], axis=-1).astype(np.longdouble)
+    scale = 2 * np.arccos(np.longdouble(-1)) / np.longdouble(L)
+    x, w = positions.astype(np.longdouble), wv.astype(np.longdouble)
+    total = np.zeros(len(eta), dtype=np.clongdouble)
+    for i0 in range(0, len(x), 64):
+        phase = (eta @ x[i0 : i0 + 64].T) * scale
+        total += (np.cos(phase) + 1j * np.sin(phase)) @ w[i0 : i0 + 64]
+    return (total / np.longdouble(L) ** n_dim).reshape(axes[0].shape)
+
+
+# K = 0, 4 and 400 put 1, 9 (a perfect square) and 801 (a ragged last giant
+# step) frequencies on the summed half axis
+@pytest.mark.parametrize("n_dim, K", [(1, 0), (1, 4), (1, 400), (2, 0), (2, 4), (2, 16)])
+def test_fourier_coefficients_match_a_long_double_reference(n_dim, K):
+    if n_dim == 1:
+        mu, _ = sl.builtin_measure("steklov_cantor", {"depth": 8})
+        positions, L, wv = circle_angles(mu)[:, None], 2 * math.pi, mu.weights
+    else:
+        mu, v = _signed_cloud(np.random.default_rng(K), 300, 2, 1.5)
+        positions, L, wv = mu.positions, 4.0, mu.weights * v.values
+    F = _fourier_coefficients(positions, wv, L, K)
+    ref = _longdouble_coefficients(positions, wv, L, K)
+    assert np.abs(F - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(np.flip(F), F.conj())
+
+
+@pytest.mark.parametrize("first, length", [(0, 1), (-8, 9), (-800, 801), (-32, 65), (-800, 1601)])
+def test_giant_steps_cover_each_frequency_once(first, length):
+    r = np.arange(first, first + length)
+    B, q0, count = _steps(r)
+    assert (B - 1) ** 2 < length <= B * B
+    eta = (np.arange(q0, q0 + count)[:, None] * B + np.arange(B)).ravel()
+    start = first - q0 * B
+    assert np.array_equal(eta[start : start + length], r)
+    # at most one giant step of padding at either end
+    assert 0 <= start < B and len(eta) - start - length < B
 
 
 @pytest.mark.parametrize("route", ["fourier-2d", "steklov"])

@@ -1,6 +1,7 @@
 """Property tests of the ball statistics (permutation invariance,
 monotonicity in the radius, additivity over unions) and of the operator
-routes (scaling of the spectrum with the measure)."""
+routes (scaling of the spectrum with the measure; the same spectrum after
+rotating a Steklov measure or translating a Fourier cloud)."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh
 
 import spectralab as sl
 from spectralab.measures import nearest_neighbor_spacing
@@ -110,3 +112,47 @@ def test_scaling_the_measure_scales_every_eigenvalue(route, signed, c):
     base = np.linalg.eigvalsh(_route_operator(route, mu, v).matrix)
     got = np.linalg.eigvalsh(_route_operator(route, scaled, v).matrix)
     assert np.abs(got - c * base).max() <= 1e-12 * c * np.abs(base).max()
+
+
+def _spectral_deviation(a, b):
+    """max |eig(a) - eig(b)| / max |eig(a)|, eigenvalues in ascending order."""
+    ea, eb = eigvalsh(a.matrix), eigvalsh(b.matrix)
+    return np.abs(ea - eb).max() / np.abs(ea).max()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    depth=st.integers(min_value=3, max_value=9),
+    K=st.integers(min_value=1, max_value=400),
+    angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+    zero_mode=st.sampled_from(["drop", "shift"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rotating_a_steklov_measure_keeps_its_spectrum(depth, K, angle, zero_mode, seed):
+    # theta -> theta + angle multiplies F(eta) by exp(i eta angle): a unitary
+    # similarity of M, for every eta up to 2K
+    mu, _ = sl.builtin_measure("steklov_cantor", {"depth": depth})
+    v = sl.SignedDensity(np.random.default_rng(seed).normal(0.5, 1.0, mu.atom_count))
+    c, s = math.cos(angle), math.sin(angle)
+    turned = sl.PointCloudMeasure.from_atoms(mu.positions @ np.array([[c, s], [-s, c]]), mu.weights, 1.0)
+    base = sl.assemble_steklov_circle(mu, v, K, zero_mode)
+    assert _spectral_deviation(base, sl.assemble_steklov_circle(turned, v, K, zero_mode)) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    K=st.integers(min_value=0, max_value=12),
+    shift=st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_translating_a_cloud_keeps_its_fourier_spectrum(n, K, shift, seed):
+    # X -> X + t multiplies F(eta) by exp(2 pi i eta . t / L): a unitary
+    # similarity of M, for every eta up to 2K on both axes
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-1.0, 1.0, (n, 2))  # span <= 2 = L/2
+    mu = sl.PointCloudMeasure.from_atoms(positions, rng.lognormal(0.0, 1.0, n), 2.0)
+    moved = sl.PointCloudMeasure.from_atoms(positions + np.array(shift), mu.weights, 2.0)
+    v = sl.SignedDensity(rng.normal(0.5, 1.0, n))
+    base = sl.assemble_fourier_bs(mu, v, 8.0, K)
+    assert _spectral_deviation(base, sl.assemble_fourier_bs(moved, v, 8.0, K)) <= 1e-12
