@@ -24,17 +24,20 @@ from spectralab.cli.scenarios import SCENARIOS
 
 GOLDEN = Path(__file__).resolve().parent
 
-# The overrides that shrink each scenario to about 400 atoms, IFS depth 8
-# and K = 16 on the 2-D Fourier route, with analysis windows the smaller
-# spectra can fill.  The 1-D Steklov route keeps K = 64: its default plateau
-# window needs 40 eigenvalues of one sign.
+# The overrides that shrink each scenario to about 400 atoms and IFS depth
+# 8, with analysis windows the smaller spectra can fill.  The Fourier and
+# Steklov spectra of singular measures decay to the 1e-14 eigenvalue floor,
+# so the cutoffs are picked where no eigenvalue lies within 7e-15 of the
+# largest one from the floor: the counts above it then do not hang on
+# roundoff.  The Steklov routes need K >= 21 for the 40 eigenvalues of one
+# sign of their default plateau window.
 REDUCED = {
     "circle": {"measure": {"params": {"atoms": 400}}, "analysis": {"window": [20, 100]}},
-    "circle_fourier": {"measure": {"params": {"atoms": 400}}, "operator": {"K": 16}},
+    "circle_fourier": {"measure": {"params": {"atoms": 500}}, "operator": {"K": 12}},
     "segment": {"measure": {"params": {"atoms": 400}}},
     "two_circles": {"measure": {"params": {"atoms": 400}}},
     "half_signed_circle": {"measure": {"params": {"atoms": 400}}},
-    "circle_plus_square": {"measure": {"params": {"atoms": 200, "cells": 14}}, "operator": {"K": 16}},
+    "circle_plus_square": {"measure": {"params": {"atoms": 200, "cells": 14}}, "operator": {"K": 9}},
     "cantor_line": {"measure": {"params": {"depth": 8}}, "analysis": {"order_window": [10, 100]}},
     "steklov_lebesgue": {
         "measure": {"params": {"atoms": 400}},
@@ -43,8 +46,8 @@ REDUCED = {
     },
     "steklov_cantor": {
         "measure": {"params": {"depth": 8}},
-        "operator": {"K": 64},
-        "variants": [{"label": "shift", "operator": {"route": "steklov", "K": 64, "zero_mode": "shift"}}],
+        "operator": {"K": 36},
+        "variants": [{"label": "shift", "operator": {"route": "steklov", "K": 36, "zero_mode": "shift"}}],
         "analysis": {"order_window": [10, 40]},
     },
     "sphere": {"measure": {"params": {"atoms": 400}}},
