@@ -687,6 +687,10 @@ BUILTIN_MEASURES = {
 PARAM_MINIMUM = {"atoms": 2, "cells": 1, "depth": 1}
 # Catalog parameters that are lengths, and so must be positive.
 PARAM_LENGTHS = ("radius", "r1", "r2", "length", "side")
+# A length lies in [1 / PARAM_SCALE, PARAM_SCALE] and any other real
+# parameter (a centre coordinate, a gap) within PARAM_SCALE of 0, so that
+# atoms, masses and squared distances stay normal floats.
+PARAM_SCALE = 1e100
 # The number of maps of each self-similar catalog measure: depth d builds
 # maps^d atoms.
 IFS_MAPS = {"cantor_line": 2, "cantor_circle": 2, "steklov_cantor": 2, "sierpinski": 3}
@@ -717,9 +721,10 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
     """(ambient dimension, builder) of a catalog measure; ScenarioError if the
     name is unknown, or if `params` holds a key the builder does not take or
     a value not of its default's type (an integer for an int default, a real
-    number for a float one, never a bool), or out of range: a finite real,
-    at least PARAM_MINIMUM, and positive for the PARAM_LENGTHS.  So is a
-    measure that would build more atoms than ATOM_BUDGET."""
+    number for a float one, never a bool), or out of range: at least
+    PARAM_MINIMUM, a PARAM_LENGTHS value in [1 / PARAM_SCALE, PARAM_SCALE],
+    any other real at most PARAM_SCALE in magnitude.  So is a measure that
+    would build more atoms than ATOM_BUDGET."""
     if name not in BUILTIN_MEASURES:
         raise ScenarioError(f"unknown measure {name!r}")
     ambient_dim, build = BUILTIN_MEASURES[name]
@@ -735,9 +740,9 @@ def catalog_entry(name: str, params: dict | None = None) -> tuple[int, Callable]
         if key in PARAM_MINIMUM:
             ok, bound = value >= PARAM_MINIMUM[key], f"at least {PARAM_MINIMUM[key]}"
         elif key in PARAM_LENGTHS:
-            ok, bound = math.isfinite(value) and value > 0, "finite and positive"
+            ok, bound = 1 / PARAM_SCALE <= value <= PARAM_SCALE, f"in [{1 / PARAM_SCALE:g}, {PARAM_SCALE:g}]"
         else:
-            ok, bound = math.isfinite(value), "finite"
+            ok, bound = abs(value) <= PARAM_SCALE, f"at most {PARAM_SCALE:g} in magnitude"
         if not ok:
             raise ScenarioError(f"measure {name!r} parameter {key!r} must be {bound}, not {value!r}")
     count, terms = atom_count(name, params)

@@ -12,7 +12,8 @@ M[xi, zeta] = a(xi) a(zeta) F(zeta - xi) onto the modes toeplitz_modes
 builds: steklov is its 1-D case, the angle measure on a circle of period
 2 pi with the multiplier b(k).  The symbol is even and the density real, so
 M is returned as a real symmetric matrix in the cos/sin basis, with the
-same spectrum as the complex Hermitian matrix on the exponentials.
+same spectrum as the complex Hermitian matrix on the exponentials.  Every
+dense operator matrix is filled on and below its diagonal, then mirrored.
 """
 
 from __future__ import annotations
@@ -286,9 +287,8 @@ def _toeplitz_compression(
         cs = -A [Im F(zeta - xi) + Im F(zeta + xi)]
         zero-mode row: a0^2 F(0), sqrt2 a0 a Re F(zeta), -sqrt2 a0 a Im F(zeta)
 
-    Rows are filled in blocks with the same arithmetic on both sides of the
-    diagonal, and the sc block is the transpose of the cs block, so the
-    result is symmetric bit for bit (signed zeros included).
+    Row blocks fill the lower triangle: the zero-mode column, the whole sc
+    block (the transpose of cs) and cc and ss on and below the diagonal.
     """
     strides = np.array([int(np.prod(F.shape[ax + 1 :])) for ax in range(F.ndim)])
     offset = (coords * strides).sum(axis=1)  # flat offset from the centre; its sign is lexicographic
@@ -307,26 +307,27 @@ def _toeplitz_compression(
         a0 = float(multiplier[zero[0]])
         scale = math.sqrt(2.0) * a0 * a
         matrix[0, 0] = a0 * a0 * re[mid]
-        matrix[0, cols_c] = matrix[cols_c, 0] = scale * re[mid + rep]
-        matrix[0, cols_s] = matrix[cols_s, 0] = -scale * im[mid + rep]
+        matrix[cols_c, 0] = scale * re[mid + rep]
+        matrix[cols_s, 0] = -scale * im[mid + rep]
 
     block = _block_rows(p)
     for r0 in range(0, p, block):
         r1 = min(r0 + block, p)
         row = rep[r0:r1, None]
-        dif, tot = mid - row + rep, mid + row + rep  # zeta - xi, zeta + xi
-        rows_c, rows_s = slice(z + r0, z + r1), slice(z + p + r0, z + p + r1)
-        # written in place, so that a block holds four temporaries at most
-        cc, cs, ss = matrix[rows_c, cols_c], matrix[rows_c, cols_s], matrix[rows_s, cols_s]
-        np.add(re[dif], re[tot], out=cc)
-        np.subtract(re[dif], re[tot], out=ss)
-        np.add(im[dif], im[tot], out=cs)
-        np.negative(cs, out=cs)
+        dif, tot = mid + row - rep, mid + row + rep  # xi - zeta, xi + zeta
+        # written in place, so that a block holds six temporaries at most;
+        # Re F is even, so re[dif] is Re F(zeta - xi) to the bit
+        sc = matrix[z + p + r0 : z + p + r1, cols_c]
+        np.add(im[dif], im[tot], out=sc)
+        np.negative(sc, out=sc)
         aa = a[r0:r1, None] * a
-        cc *= aa
-        cs *= aa
-        ss *= aa
-        matrix[cols_s, rows_c] = cs.T
+        sc *= aa
+        lower = np.arange(r0, r1)[:, None] >= np.arange(r1)
+        for op, first in ((np.add, z), (np.subtract, z + p)):  # cc, ss
+            out = matrix[first + r0 : first + r1, first : first + r1]
+            op(re[dif[:, :r1]], re[tot[:, :r1]], out=out, where=lower)
+            np.multiply(out, aa[:, :r1], out=out, where=lower)
+    _mirror_lower(matrix)
     return matrix
 
 
@@ -401,12 +402,10 @@ def _log_kernel_matrix(
     +log r) or c_log K_0(r).  The diagonal is the mean of the kernel over a
     cell of the atom's nearest-neighbour distance.
 
-    Built in row blocks of the lower triangle: the distances of one block
-    come from cdist, the kernel and the frame are evaluated on the block,
-    and it is written to its rows and, transposed, to its columns.  An
-    entry of the frame is 0.5 ((k_ij r_i) r_j + (k_ij r_j) r_i) with
-    r = sqrt(D), which is the same number on both sides of the diagonal.
-    BudgetError past MATRIX_BUDGET atoms, before anything is allocated."""
+    Built in row blocks: cdist gives a block's distances, the kernel and the
+    frame (k_ij r_i) r_j, r = sqrt(D), are evaluated on them, and the entries
+    on and below the diagonal are written, then mirrored.  BudgetError past
+    MATRIX_BUDGET atoms, before anything is allocated."""
     check_budget(measure.atom_count, "atoms")
     # exact 1-d cell mean of -log over a cell of width delta
     diag = c_log * (1.0 - np.log(_nn_distances(measure) / 2.0))
@@ -434,10 +433,10 @@ def _log_kernel_matrix(
             blk *= c_log
         blk[on_diag] = diag[i0:i1]
         if density is not None:
-            r_i, r_j = root[i0:i1, None], root[:i1]
-            blk = 0.5 * (blk * r_i * r_j + blk * r_j * r_i)
-        kern[i0:i1, :i1] = blk
-        kern[:i1, i0:i1] = blk.T
+            blk *= root[i0:i1, None]
+            blk *= root[:i1]
+        np.copyto(kern[i0:i1, :i1], blk, where=np.arange(i0, i1)[:, None] >= np.arange(i1))
+    _mirror_lower(kern)
     return kern
 
 

@@ -172,25 +172,11 @@ def test_cli_signed_density_on_indefinite_kernel_exits_3(tmp_path, capsys):
 # Configs that validate, but whose runs fail for a reason that is not the
 # config's, and the stage at which each fails.
 FAILING_RUNS = {
-    "circle_radius_1e308": (
-        {"scenario": "circle", "measure": {"params": {"atoms": 200, "radius": 1e308}}, "variants": [], "checks": []},
-        "measure",
-    ),
-    "sphere_radius_1e200": (
-        {"scenario": "sphere", "measure": {"params": {"atoms": 200, "radius": 1e200}}, "checks": []},
-        "measure",
-    ),
-    "square_side_1e200": (
-        {"scenario": "circle_plus_square", "measure": {"params": {"atoms": 200, "cells": 4, "side": 1e200}}, "checks": []},
-        "measure",
-    ),
-    "circle_radius_1e-300": (
-        {"scenario": "circle", "measure": {"params": {"atoms": 200, "radius": 1e-300}}, "variants": [], "checks": []},
+    # sum_i w_i psi(V_i / s) saturates: the Luxemburg root is past 1e300
+    "circle_density_1e300": (
+        {"scenario": "circle", "measure": {"params": {"atoms": 200}}, "density": {"kind": "expression", "expr": "1e300 * (2 + x)"},
+         "variants": [], "checks": []},
         "orlicz",
-    ),
-    "circle_gap_1e308": (
-        {"scenario": "two_circles", "measure": {"params": {"atoms": 200, "gap": 1e308}}, "checks": []},
-        "diagnostics",
     ),
 }
 
@@ -525,6 +511,13 @@ MALFORMED = {
     "log_kernel_variant_past_matrix_budget": {"scenario": "steklov_lebesgue", "measure": {"params": {"atoms": 12_001}},
                                               "variants": [{"label": "log", "operator": {"route": "logkernel"}}], "checks": []},
     "log_kernel_ifs_past_matrix_budget": {"scenario": "cantor_line", "measure": {"params": {"depth": 14}}},
+    # lengths past measures.PARAM_SCALE, whose weights, coordinates or pair
+    # distances would leave the normal floats
+    "circle_radius_1e308": {"scenario": "circle", "measure": {"params": {"atoms": 200, "radius": 1e308}}, "variants": [], "checks": []},
+    "sphere_radius_1e200": {"scenario": "sphere", "measure": {"params": {"atoms": 200, "radius": 1e200}}, "checks": []},
+    "square_side_1e200": {"scenario": "circle_plus_square", "measure": {"params": {"atoms": 200, "cells": 4, "side": 1e200}}, "checks": []},
+    "circle_radius_1e-300": {"scenario": "circle", "measure": {"params": {"atoms": 200, "radius": 1e-300}}, "variants": [], "checks": []},
+    "circle_gap_1e308": {"scenario": "two_circles", "measure": {"params": {"atoms": 200, "gap": 1e308}}, "checks": []},
 }
 
 

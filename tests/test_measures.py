@@ -284,6 +284,20 @@ def test_catalog_entry_accepts_a_measure_within_the_atom_budget(name, params):
     sl.measures.catalog_entry(name, params)
 
 
+def test_catalog_entry_bounds_the_real_parameters_by_param_scale():
+    scale = sl.measures.PARAM_SCALE
+    for params in ({"radius": scale}, {"radius": 1 / scale}, {"cx": -scale, "cy": scale}):
+        sl.measures.catalog_entry("circle", params)
+    for name, params, bound in (
+        ("circle", {"radius": 2 * scale}, "in [1e-100, 1e+100]"),
+        ("sphere", {"radius": 0.5 / scale}, "in [1e-100, 1e+100]"),
+        ("circle", {"cy": -2 * scale}, "at most 1e+100 in magnitude"),
+        ("two_circles", {"gap": float("nan")}, "at most 1e+100 in magnitude"),
+    ):
+        with pytest.raises(ScenarioError, match=re.escape(bound)):
+            sl.measures.catalog_entry(name, params)
+
+
 def test_readme_catalog_table_matches_the_builders():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| (\d) \| (.*) \|$", readme, flags=re.M)

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre, k0
 
 import spectralab as sl
+from spectralab.cli.experiment import _expression_values
 from spectralab.errors import (
     BudgetError,
     DegenerateKernelError,
@@ -230,8 +231,9 @@ def _cdist_kernel(mu, kernel):
 
 
 def _root_scaled(kern, root):
-    s = root[:, None] * kern * root[None, :]
-    return 0.5 * (s + s.T)
+    # the frame (r_i k_ij) r_j on and below the diagonal, mirrored
+    s = np.tril(root[:, None] * kern * root[None, :])
+    return s + np.tril(s, -1).T
 
 
 def _eigh_sign_frame(kern, mu, v):
@@ -299,10 +301,18 @@ def test_signed_density_on_indefinite_kernel_raises(radius):
         ("sphere", {"atoms": 1000}, "pure_log"),
         ("segment", {"atoms": 500}, "pure_log"),
         ("sphere", {"atoms": 1000}, "bessel"),
+        # frames whose root sqrt(w V) varies: unequal weights on the two
+        # circles, and the expression density of configs/circle_coarse_custom.json
+        ("two_circles", {"atoms": 1000}, "pure_log"),
+        ("circle", {"atoms": 800, "expr": "1.0 + 0.5 * np.cos(3 * np.arctan2(y, x))"}, "bessel"),
     ],
 )
 def test_unsigned_log_kernel_bit_identical_to_cdist(name, params, kernel):
+    params = dict(params)
+    expr = params.pop("expr", None)
     mu, v = sl.builtin_measure(name, params)
+    if expr is not None:
+        v = SignedDensity(_expression_values(expr, mu.positions))
     op = sl.assemble_log_kernel(mu, v, kernel)
     ref = _root_scaled(_cdist_kernel(mu, kernel), np.sqrt(mu.weights * v.values))
     assert np.array_equal(op.matrix, ref)
