@@ -34,7 +34,6 @@ from .errors import (
 
 MASS_RTOL = 1e-12
 IFS_DIMENSION_CAP = 64.0
-IFS_RESIDUAL_TOL = 1e-12
 ATOM_BUDGET = 200_000
 REGULARITY_THRESHOLD = 50.0
 PREISS_CONSTANT = 10.0  # heuristic placeholder; the true constant is nonconstructive
@@ -191,6 +190,16 @@ class Similitude:
         return self.translation / (1.0 - self.ratio)
 
 
+def bisect_threshold(below, lo: float, hi: float) -> tuple[float, float, int]:
+    """Bisect [lo, hi], below(lo) true and below(hi) false, until the midpoint
+    equals an endpoint, so lo and hi are adjacent doubles.  Returns (lo, hi, steps)."""
+    steps = 0
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        steps += 1
+    return lo, hi, steps
+
+
 def ifs_dimension(maps: Sequence[Similitude]) -> float:
     """Similarity dimension: the unique d > 0 with sum h_j^d = 1, bisected on
     (0, 64] to the largest double with sum h_j^d >= 1.  For the Cantor and
@@ -204,33 +213,25 @@ def ifs_dimension(maps: Sequence[Similitude]) -> float:
     def f(d: float) -> float:
         return float(np.sum(h**d)) - 1.0
 
-    lo, hi = 1e-12, IFS_DIMENSION_CAP
-    if f(hi) >= 0.0:
+    if f(IFS_DIMENSION_CAP) >= 0.0:
         raise InvalidRatioError("no similarity dimension below the cap 64")
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if f(mid) >= 0.0 else (lo, mid)
-    return lo
+    return bisect_threshold(lambda d: f(d) >= 0.0, 1e-12, IFS_DIMENSION_CAP)[0]
 
 
 @dataclass(frozen=True)
 class SimilitudeSystem:
-    """An IFS together with its similarity dimension."""
+    """An IFS; its similarity dimension is computed from the ratios."""
 
     maps: tuple[Similitude, ...]
-    similarity_dim: float
 
     def __post_init__(self):
-        h = np.array([s.ratio for s in self.maps])
-        residual = abs(np.sum(h**self.similarity_dim) - 1.0)
-        if residual > IFS_RESIDUAL_TOL:
-            raise ValueError(f"similarity_dim residual {residual:g} exceeds 1e-12")
         n = self.maps[0].dim
         if not (0.0 < self.similarity_dim <= n):
             raise ValueError("similarity dimension must lie in (0, N]")
 
-    @staticmethod
-    def from_maps(maps: Sequence[Similitude]) -> "SimilitudeSystem":
-        return SimilitudeSystem(tuple(maps), ifs_dimension(maps))
+    @cached_property
+    def similarity_dim(self) -> float:
+        return ifs_dimension(self.maps)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -242,14 +243,14 @@ class SimilitudeSystem:
 def cantor_system() -> SimilitudeSystem:
     """Middle-third Cantor IFS on the line (embedded as 1-d maps)."""
     maps = [Similitude(1 / 3, [0.0]), Similitude(1 / 3, [2 / 3])]
-    return SimilitudeSystem.from_maps(maps)
+    return SimilitudeSystem(tuple(maps))
 
 
 def sierpinski_system(side: float = 1.0) -> SimilitudeSystem:
     """Sierpinski gasket IFS: three half-scale maps toward triangle vertices."""
     verts = np.array([[0.0, 0.0], [side, 0.0], [0.5 * side, 0.5 * math.sqrt(3) * side]])
     maps = [Similitude(0.5, 0.5 * v) for v in verts]
-    return SimilitudeSystem.from_maps(maps)
+    return SimilitudeSystem(tuple(maps))
 
 
 def ifs_self_similar_measure(system: SimilitudeSystem, depth: int) -> PointCloudMeasure:

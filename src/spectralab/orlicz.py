@@ -18,12 +18,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SaturationError
-from .measures import PointCloudMeasure, SignedDensity, check_pairing
+from .measures import PointCloudMeasure, SignedDensity, bisect_threshold, check_pairing
 
-PHI_ARG_CAP = 700.0  # beyond this expm1 overflows double precision
 HOLDER_CONSTANT = 2.0  # of the Luxemburg-norm pairing
-_BISECT_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-10
+# Each Young function's closed form and its Taylor coefficients c_k, the
+# function being t^2 (c_0 + c_1 t + ...).  Below _SERIES_CUTOFF the closed
+# forms lose their value to the rounding of t; five terms leave out < 5e-17.
+_SERIES_CUTOFF = 1e-3
+_YOUNG = {
+    "psi": (lambda t: (1.0 + t) * np.log1p(t) - t, (1 / 2, -1 / 6, 1 / 12, -1 / 20, 1 / 30)),
+    "phi": (lambda t: np.expm1(t) - t, (1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 720)),
+}
+
+
+def _young(which: str, t: np.ndarray) -> np.ndarray:
+    """Young function `which` at t >= 0, inf where its closed form overflows."""
+    closed, series = _YOUNG[which]
+    with np.errstate(over="ignore"):
+        value = np.asarray(closed(t))
+    small = t < _SERIES_CUTOFF
+    if np.any(small):
+        s = t[small]
+        value[small] = s * s * np.polyval(series[::-1], s)
+    return value
 
 
 def psi(t):
@@ -31,35 +49,27 @@ def psi(t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("psi is defined for t >= 0")
-    return (1.0 + t) * np.log1p(t) - t
+    return _young("psi", t)
 
 
 def phi(t):
-    """exp(t) - 1 - t, elementwise, for t >= 0; saturates above 700."""
+    """exp(t) - 1 - t, elementwise, for t >= 0; saturates where it overflows, past 709.78."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("phi is defined for t >= 0")
-    if np.any(t > PHI_ARG_CAP):
-        raise SaturationError(f"phi argument exceeds the overflow cap {PHI_ARG_CAP}")
-    return np.expm1(t) - t
+    value = _young("phi", t)
+    if np.any(np.isinf(value)):
+        raise SaturationError("phi overflows double precision")
+    return value
 
 
-def _phi_unchecked(t: np.ndarray) -> np.ndarray:
-    """phi with overflow mapped to +inf (used inside feasibility scans)."""
-    out = np.full_like(t, np.inf)
-    ok = t <= PHI_ARG_CAP
-    out[ok] = np.expm1(t[ok]) - t[ok]
-    return out
-
-
-def _bracket_root(infeasible, start: float, rtol: float) -> tuple[float, float, int]:
-    """Bracket and bisect the threshold of a test that holds below it and
-    fails above it.  hi doubles from max(start, 1e-300) until infeasible(hi)
-    fails, lo halves from hi while it fails (down to 1e-300), then bisection
-    narrows [lo, hi] until hi - lo <= rtol * hi.  Returns (lo, hi, steps),
-    steps counting the doublings, halvings and bisection steps;
-    infeasible(hi) is false.  A threshold above 1e300 is a SaturationError.
-    """
+def _bracket_root(infeasible, start: float) -> tuple[float, int]:
+    """Threshold of a test that holds below it and fails above it: hi doubles
+    from max(start, 1e-300) while infeasible(hi), lo halves from hi / 2, hi
+    following, while infeasible(lo) fails (down to 1e-300), and bisect_threshold
+    narrows [lo, hi] to adjacent doubles.  Returns hi, the smallest double where
+    the test fails, and the count of doublings, halvings and bisection steps.
+    A threshold above 1e300 is a SaturationError."""
     hi = max(start, 1e-300)
     steps = 0
     while infeasible(hi):
@@ -67,20 +77,12 @@ def _bracket_root(infeasible, start: float, rtol: float) -> tuple[float, float, 
         steps += 1
         if hi > 1e300:
             raise SaturationError("failed to bracket an Orlicz-norm root below 1e300")
-    lo = hi
-    while not infeasible(lo) and lo > 1e-300:
-        lo *= 0.5
+    lo = 0.5 * hi
+    while lo > 1e-300 and not infeasible(lo):
+        lo, hi = 0.5 * lo, lo
         steps += 1
-    for _ in range(_BISECT_MAX_ITER):
-        steps += 1
-        mid = 0.5 * (lo + hi)
-        if infeasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * hi:
-            break
-    return lo, hi, steps
+    _, hi, bisections = bisect_threshold(infeasible, lo, hi)
+    return hi, steps + bisections
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,7 @@ def luxemburg_norm(
     bisection.  Zero density gives norm zero.
     """
     check_pairing(measure, values)
-    if which == "psi":
-        func = psi
-    elif which == "phi":
-        func = _phi_unchecked
-    else:
+    if which not in _YOUNG:
         raise ValueError(f"unknown Young function {which!r}")
     w = measure.weights
     v = np.abs(values.values)
@@ -120,9 +118,9 @@ def luxemburg_norm(
     w, v = w[mask], v[mask]
 
     def modular(s: float) -> float:
-        return float(np.sum(w * func(v / s)))
+        return float(np.sum(w * _young(which, v / s)))
 
-    _, value, steps = _bracket_root(lambda s: modular(s) > 1.0, float(v.max()), 1e-15)
+    value, steps = _bracket_root(lambda s: modular(s) > 1.0, float(v.max()))
     residual = abs(modular(value) - 1.0)  # value is the feasible endpoint
     return OrliczNormResult(float(value), steps, float(residual))
 
@@ -161,8 +159,7 @@ def averaged_norm(
         r = np.minimum(v / lam, 1e300)
         return float(np.sum(w * (r - np.log1p(r))))
 
-    lo, hi, _ = _bracket_root(lambda lam: constraint(lam) > mass, float(v.max()), 1e-14)
-    lam = 0.5 * (lo + hi)
+    lam, _ = _bracket_root(lambda lam: constraint(lam) > mass, float(v.max()))
     g = np.log1p(v / lam)
     return float(np.sum(w * v * g))
 

@@ -194,6 +194,24 @@ def test_run_failure_that_is_not_the_configs_exits_3(tmp_path, capsys, raw, stag
     assert f"run failed: {error}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, params", [
+    ("circle", {"radius": 1e-60}),
+    ("circle", {"radius": 1e20}),
+    ("sphere", {"radius": 1e-60}),
+    ("sphere", {"radius": 1e60}),
+    ("segment", {"length": 1e100}),
+    ("two_circles", {"r1": 1e-100, "r2": 1e-100, "gap": 1e-100}),
+])
+def test_configs_at_the_admitted_extremes_run_end_to_end(tmp_path, scenario, params):
+    # total masses from about 1e-119 to 1e121: a small mass puts the Luxemburg
+    # root hundreds of halvings below its first bracket, a large one reads psi
+    # and phi where only their series is accurate
+    raw = {"scenario": scenario, "measure": {"params": {"atoms": 200, **params}}, "checks": [], "variants": []}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 0
+    assert (out / "summary.json").exists()
+
+
 def test_support_too_large_for_the_torus_is_config_error(tmp_path, capsys):
     # a circle of radius 3 spans 6, past L/2 = 4 of the circle_fourier torus
     raw = {"scenario": "circle_fourier", "measure": {"params": {"atoms": 200, "radius": 3.0}}, "compare": None, "checks": []}

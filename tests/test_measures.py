@@ -96,7 +96,7 @@ def test_cantor_depth_eight():
 
 def test_unequal_ratio_weights_are_products():
     maps = [sl.Similitude(1 / 2, [0.0]), sl.Similitude(1 / 4, [0.75])]
-    system = sl.SimilitudeSystem.from_maps(maps)
+    system = sl.SimilitudeSystem(tuple(maps))
     mu = sl.ifs_self_similar_measure(system, depth=2)
     x = 2.0 ** -system.similarity_dim
     # direct product enumeration over the four words
@@ -114,7 +114,7 @@ def test_atom_budget():
 
 def test_weights_normalized_at_every_depth():
     maps = [sl.Similitude(0.3, [0.0]), sl.Similitude(0.45, [1.0])]
-    system = sl.SimilitudeSystem.from_maps(maps)
+    system = sl.SimilitudeSystem(tuple(maps))
     for depth in range(1, 7):
         mu = sl.ifs_self_similar_measure(system, depth)
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-10)

@@ -1,5 +1,6 @@
 """Orlicz pair, Luxemburg norm, and the averaged norm against independent oracles."""
 
+import decimal
 import math
 
 import numpy as np
@@ -59,6 +60,32 @@ def test_young_convex_increasing_grid():
         phi(800.0)
 
 
+def _young_reference(t):
+    """(psi(t), phi(t)) to 700 digits from the exact value of the double t."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        x, one = decimal.Decimal(t), decimal.Decimal(1)
+        return float((one + x) * (one + x).ln() - x), float(x.exp() - one - x)
+
+
+def test_young_functions_match_a_700_digit_reference():
+    # near 0 both closed forms cancel to nothing: psi was off by a factor 3
+    # at t = 1.1e-16 and phi read 0 at 1e-150; past 1e-3 they lose 3 digits
+    t = np.concatenate([np.logspace(-150, math.log10(600), 400), [1.1e-16, np.nextafter(1e-3, 1.0)]])
+    want = np.array([_young_reference(x) for x in t])
+    np.testing.assert_allclose(psi(t), want[:, 0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(phi(t), want[:, 1], rtol=1e-12, atol=0)
+    assert float(psi(1e-150)) == pytest.approx(want[0, 0], rel=1e-12)
+    assert float(phi(1e-150)) == pytest.approx(want[0, 1], rel=1e-12)
+
+
+def test_phi_saturates_where_its_value_overflows():
+    # exp(t) passes the largest double at t = 709.7827
+    assert np.isfinite(phi(709.78))
+    with pytest.raises(SaturationError, match="overflows"):
+        phi(np.array([1.0, 709.79]))
+
+
 # -- Luxemburg norm --------------------------------------------------------------
 
 
@@ -74,6 +101,20 @@ def test_luxemburg_constant_reduction():
         res = luxemburg_norm(SignedDensity(np.full(50, c)), mu, "psi")
         assert res.value == pytest.approx(c / T_STAR_PSI, rel=1e-9)
         assert res.residual <= 1e-10
+
+
+def test_luxemburg_norm_is_the_least_double_whose_modular_is_at_most_one():
+    # the bisection stops on adjacent doubles, as ifs_dimension's does
+    rng = np.random.default_rng(15)
+    mu = _prob_measure(40, seed=16)
+    v = np.abs(rng.standard_normal(40)) * 3.0
+    for which, young in (("psi", psi), ("phi", phi)):
+        s = luxemburg_norm(SignedDensity(v), mu, which).value
+
+        def modular(s):
+            return float(np.sum(mu.weights * young(v / s)))
+
+        assert modular(s) <= 1.0 < modular(np.nextafter(s, 0.0)), which
 
 
 def test_luxemburg_norm_past_1e300_is_saturation():

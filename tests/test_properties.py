@@ -1,7 +1,8 @@
 """Property tests of the ball statistics (permutation invariance,
-monotonicity in the radius, additivity over unions) and of the operator
-routes (scaling of the spectrum with the measure; the same spectrum after
-rotating a Steklov measure or translating a Fourier cloud)."""
+monotonicity in the radius, additivity over unions), of the Orlicz norms
+(scaling of the measure) and of the operator routes (scaling of the spectrum
+with the measure; the same spectrum after rotating a Steklov measure or
+translating a Fourier cloud)."""
 
 import math
 
@@ -13,6 +14,7 @@ from scipy.linalg import eigvalsh
 
 import spectralab as sl
 from spectralab.measures import nearest_neighbor_spacing
+from spectralab.orlicz import averaged_norm, luxemburg_norm
 
 ROUNDING = 1e-12
 
@@ -112,6 +114,22 @@ def test_scaling_the_measure_scales_every_eigenvalue(route, signed, c):
     base = np.linalg.eigvalsh(_route_operator(route, mu, v).matrix)
     got = np.linalg.eigvalsh(_route_operator(route, scaled, v).matrix)
     assert np.abs(got - c * base).max() <= 1e-12 * c * np.abs(base).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=-100, max_value=100), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_orlicz_norms_under_a_scaled_measure(k, seed):
+    # weights 10^k w reach Young-function arguments V / s near 1e-50 (psi's
+    # series) and Luxemburg roots near 1e-98 times V, hundreds of halvings
+    rng = np.random.default_rng(seed)
+    positions = rng.random((50, 2))
+    weights = rng.uniform(0.5, 1.5, 50) / 50
+    v = sl.SignedDensity(rng.uniform(0.1, 2.0, 50))
+    mu = sl.PointCloudMeasure.from_atoms(positions, weights, 1.0)
+    scaled = sl.PointCloudMeasure.from_atoms(positions, 10.0**k * weights, 1.0)
+    for which in ("psi", "phi"):
+        assert luxemburg_norm(v, scaled, which).residual <= 1e-10
+    assert averaged_norm(v, scaled) == pytest.approx(10.0**k * averaged_norm(v, mu), rel=1e-12)
 
 
 def _spectral_deviation(a, b):
