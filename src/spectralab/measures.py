@@ -758,10 +758,17 @@ def builtin_measure(
     """Construct one of the catalog measures with its default density.
 
     All catalog measures carry V = 1 except `half_signed_circle`, whose
-    density is +1 on the upper half-arc and -1 on the lower.
+    density is +1 on the upper half-arc and -1 on the lower.  Parameters
+    that round two atoms onto one point (a radius below the spacing of
+    doubles at its centre) are a ScenarioError.
     """
     _, build = catalog_entry(name, params)
-    return build(**(params or {}))
+    mu, v = build(**(params or {}))
+    if np.any(mu._nn_distances == 0):
+        raise ScenarioError(
+            f"measure {name!r} has coincident atoms: its lengths are below the spacing of doubles at its position"
+        )
+    return mu, v
 
 
 # -- serialization -----------------------------------------------------------

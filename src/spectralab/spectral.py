@@ -24,8 +24,6 @@ RESIDUAL_TOL = 1e-8
 RESIDUAL_PAIRS = 5
 DEFAULT_WINDOW_FRACTIONS = (0.05, 0.25)
 PLATEAU_MIN_COUNT = 40
-# Reflectors per dormqr panel of the back-transform.
-WY_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -84,26 +82,22 @@ def _tridiagonalize(a: np.ndarray):
 
 def _back_transform(c: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Q z for the reduction's Q = H_0 H_1 ... H_{n-2}, applied to the k
-    columns of z by dormqr one panel of WY_BLOCK reflectors at a time, last
-    panel first: O(n^2 k), and Q is never formed.
+    columns of z by one dormqr call: O(n^2 k), and Q is never formed.
 
-    Below row 0, c[1:, :n-1] holds the reflectors as a QR factorization
-    would, so panel [j0, j1) acts on rows j0 + 1 .. of z (LAPACK's dormtr
-    does the same).  A reflector with tau = 0 is the identity to LAPACK,
-    so it needs no special case.  A panel is passed as an F-order copy of
-    its columns: f2py would copy a non-contiguous slice of all of c."""
+    Below row 0, c holds the reflectors as a QR factorization would, so they
+    act on rows 1 .. of z (LAPACK's dormtr does the same).  dormqr gets the
+    (n, n - 1) Fortran-order view of c from c[1, 0] on: with leading
+    dimension n it reads only the first n - 1 rows, c[1:, j], and nothing is
+    copied.  A reflector with tau = 0 is the identity to LAPACK."""
     n = c.shape[0]
     x = np.array(z, order="F")
-    lwork = None
-    for j0 in reversed(range(0, n - 1, WY_BLOCK)):
-        j1 = min(j0 + WY_BLOCK, n - 1)
-        args = ("L", "N", np.array(c[j0 + 1 :, j0:j1], order="F"), tau[j0:j1], x[j0 + 1 :])
-        if lwork is None:
-            work, info = lapack.dormqr(*args, -1)[1:]
-            _lapack_info(info, "dormqr workspace query", n)
-            lwork = int(work[0])
-        x[j0 + 1 :], _, info = lapack.dormqr(*args, lwork, overwrite_c=1)
-        _lapack_info(info, "dormqr", n)
+    if n < 2:
+        return x
+    v = c.ravel(order="F")[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
+    work, info = lapack.dormqr("L", "N", v, tau, x[1:], -1)[1:]
+    _lapack_info(info, "dormqr workspace query", n)
+    x[1:], _, info = lapack.dormqr("L", "N", v, tau, x[1:], int(work[0]), overwrite_c=1)
+    _lapack_info(info, "dormqr", n)
     return x
 
 
@@ -116,7 +110,9 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     eigh_tridiagonal's bisection and inverse iteration (dstebz, dstein),
     back-transformed with the reduction's reflectors, and checked against the
     original matrix: ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf
-    agree to 1e-8 ||M||.
+    agree to 1e-8 ||M||.  The check runs on T and M times the power of two
+    that brings ||M|| into [1/2, 1), so its tolerances hold at any scale;
+    dsterf sees T unscaled.
     A passed check leaves its margins in the report's metadata:
     `residual_rel` (largest residual / ||M||), `bisection_gap_rel` (largest
     bisection-dsterf gap / ||M||) and `checked_range` (lo, hi), the 0-based
@@ -144,7 +140,8 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
             # the block at the large-|lambda| end of the ascending values
             k = min(RESIDUAL_PAIRS, n)
             lo, hi = (0, k - 1) if abs(values[0]) >= abs(values[-1]) else (n - k, n - 1)
-            vals_blk, z = eigh_tridiagonal(d, e, select="i", select_range=(lo, hi), lapack_driver="stebz")
+            scale = 2.0 ** -math.frexp(norm)[1]
+            vals_blk, z = eigh_tridiagonal(scale * d, scale * e, select="i", select_range=(lo, hi), lapack_driver="stebz")
             if len(vals_blk) != k:
                 raise SolverError(f"dstebz found {len(vals_blk)} eigenvalues for the index range [{lo}, {hi}]")
             vecs_blk = _back_transform(c, tau, z)
@@ -156,16 +153,16 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
 
     metadata = dict(op.metadata)
     if checked:
-        # M q through scipy's BLAS, like every LAPACK call above: m.T is M
-        # in Fortran order, since M is symmetric
-        resid = np.linalg.norm(blas.dgemm(1.0, m.T, vecs_blk) - vecs_blk * vals_blk, axis=0)
-        if np.any(resid > RESIDUAL_TOL * norm):
+        # scale M q through scipy's BLAS, like every LAPACK call above: m.T
+        # is M in Fortran order, since M is symmetric; a NaN fails the check
+        resid = np.linalg.norm(blas.dgemm(scale, m.T, vecs_blk) - vecs_blk * vals_blk, axis=0) / scale
+        if not np.all(resid <= RESIDUAL_TOL * norm):
             raise SolverError(
                 f"eigenpair residual {resid.max():g} exceeds {RESIDUAL_TOL:g} * ||M|| "
                 f"(||M|| = {norm:g}, size {n})"
             )
-        agree = np.abs(vals_blk - values[lo : hi + 1]).max()
-        if agree > RESIDUAL_TOL * norm:
+        agree = np.abs(vals_blk / scale - values[lo : hi + 1]).max()
+        if not agree <= RESIDUAL_TOL * norm:
             raise SolverError(
                 f"bisection and dsterf eigenvalues differ by {agree:g} on the "
                 f"checked block (||M|| = {norm:g}, size {n})"
@@ -177,11 +174,9 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
         )
 
     floor = EIGENVALUE_FLOOR_FACTOR * norm
-    pos = np.sort(values[values > floor])[::-1]
-    neg = np.sort(-values[values < -floor])[::-1]
     return EigenReport(
-        positive=pos,
-        negative=neg,
+        positive=values[values > floor][::-1],  # dsterf's values ascend
+        negative=-values[values < -floor],
         size=n,
         floor=floor,
         route=op.route,

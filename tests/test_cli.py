@@ -201,15 +201,29 @@ def test_run_failure_that_is_not_the_configs_exits_3(tmp_path, capsys, raw, stag
     ("sphere", {"radius": 1e60}),
     ("segment", {"length": 1e100}),
     ("two_circles", {"r1": 1e-100, "r2": 1e-100, "gap": 1e-100}),
+    ("sphere", {"radius": 1e-100}),
+    ("sphere", {"radius": 1e-80}),
+    ("sphere", {"radius": 1e80}),
+    ("sphere", {"radius": 1e100}),
 ])
 def test_configs_at_the_admitted_extremes_run_end_to_end(tmp_path, scenario, params):
-    # total masses from about 1e-119 to 1e121: a small mass puts the Luxemburg
+    # total masses from about 1e-199 to 1e201: a small mass puts the Luxemburg
     # root hundreds of halvings below its first bracket, a large one reads psi
-    # and phi where only their series is accurate
+    # and phi where only their series is accurate; the spheres' ||M|| runs
+    # from about 1e-198 to 1e202, where the eigensolve's check scales T
     raw = {"scenario": scenario, "measure": {"params": {"atoms": 200, **params}}, "checks": [], "variants": []}
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 0
     assert (out / "summary.json").exists()
+
+
+def test_catalog_atoms_that_round_onto_one_point_are_config_error(tmp_path, capsys):
+    # a unit circle at cx = 1e100, where doubles are 1.9e84 apart
+    raw = {"scenario": "circle", "measure": {"params": {"atoms": 200, "cx": 1e100}}, "checks": [], "variants": []}
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
+    assert (out / "FAILED").read_text().startswith("stage: measure\nerror: ScenarioError(")
+    assert "coincident atoms" in capsys.readouterr().err
 
 
 def test_support_too_large_for_the_torus_is_config_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 monotonicity in the radius, additivity over unions), of the Orlicz norms
 (scaling of the measure) and of the operator routes (scaling of the spectrum
 with the measure; the same spectrum after rotating a Steklov measure or
-translating a Fourier cloud)."""
+translating a Fourier cloud; dilating a circle; counting functions over a
+union of separated circles)."""
 
 import math
 
@@ -174,3 +175,58 @@ def test_translating_a_cloud_keeps_its_fourier_spectrum(n, K, shift, seed):
     v = sl.SignedDensity(rng.normal(0.5, 1.0, n))
     base = sl.assemble_fourier_bs(mu, v, 8.0, K)
     assert _spectral_deviation(base, sl.assemble_fourier_bs(moved, v, 8.0, K)) <= 1e-12
+
+
+def _log_kernel_spectrum(name, params, kernel):
+    mu, v = sl.builtin_measure(name, params)
+    return mu, sl.eigen_spectrum(sl.assemble_log_kernel(mu, v, kernel))
+
+
+@settings(max_examples=10, deadline=None)
+@given(r=st.floats(min_value=1e-3, max_value=1e3))
+def test_dilating_a_circle_is_a_rank_one_update_of_the_pure_log_kernel(r):
+    # -log |r x - r y| = -log |x - y| - log r, and the cell diagonal moves by
+    # the same -log r: M(r) / r = M(1) - c log r u u^T, so the eigenvalues of
+    # M(r) / r interlace those of M(1), above them for r < 1
+    a = eigvalsh(sl.assemble_log_kernel(*sl.builtin_measure("circle", {"atoms": 400}), "pure_log").matrix)
+    mu, v = sl.builtin_measure("circle", {"atoms": 400, "radius": r})
+    b = eigvalsh(sl.assemble_log_kernel(mu, v, "pure_log").matrix) / r
+    tol = 1e-12 * np.abs(a).max()
+    if r < 1:
+        lower, upper = a, np.append(a[1:], np.inf)
+    else:
+        lower, upper = np.insert(a[:-1], 0, -np.inf), a
+    assert np.all(b >= lower - tol) and np.all(b <= upper + tol)
+
+
+@settings(max_examples=10, deadline=None)
+@given(r=st.floats(min_value=0.01, max_value=1.0))
+def test_shrinking_a_circle_keeps_its_bessel_plateau_per_unit_mass(r):
+    # below the kernel's unit length scale K_0 is -log r plus a smooth
+    # remainder, so the plateau per unit mass holds to 0.5% (past r = 1 it
+    # does not: -78% at r = 100)
+    def plateau(radius):
+        mu, rep = _log_kernel_spectrum("circle", {"atoms": 400, "radius": radius}, "bessel")
+        return sl.weyl_plateau(rep, window=(20, 80)).plateau / mu.total_mass
+
+    assert plateau(r) == pytest.approx(plateau(1.0), rel=5e-3)
+
+
+@pytest.mark.parametrize("gap", [0.5, 1.0, 3.0])
+def test_counting_functions_add_over_separated_circles(gap):
+    # the two_circles union against its circles alone: the cross blocks of
+    # the kernel are smooth, and N_union - N_1 - N_2 stays within 2 between
+    # the union's lambda_101 and lambda_6
+    _, union = _log_kernel_spectrum("two_circles", {"atoms": 600, "r1": 1.0, "r2": 0.5, "gap": gap}, "bessel")
+    _, one = _log_kernel_spectrum("circle", {"atoms": 400, "radius": 1.0}, "bessel")
+    _, two = _log_kernel_spectrum("circle", {"atoms": 200, "radius": 0.5}, "bessel")
+    lo, hi = union.positive[100], union.positive[5]
+    # N(lam) = #{lambda > lam} is constant from one eigenvalue to the next,
+    # so the eigenvalues in [lo, hi] are every value it takes there
+    lams = np.concatenate([rep.positive for rep in (union, one, two)])
+    lams = lams[(lams >= lo) & (lams <= hi)]
+
+    def counts(rep):
+        return np.array([sl.counting(rep, lam) for lam in lams])
+
+    assert np.abs(counts(union) - counts(one) - counts(two)).max() <= 2

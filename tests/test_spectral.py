@@ -173,6 +173,19 @@ def _positive_definite_op(n=60):
     return AssembledOperator(matrix=a @ a.T + np.eye(n), route="logkernel")
 
 
+@pytest.mark.parametrize("p", [500, 600, -500, -600, -900])
+def test_eigen_spectrum_checks_a_matrix_at_any_scale(p):
+    # entries near 2^p * 60: the check's margins, relative to ||M||, do not
+    # move with the scale, nor do the eigenvalues over 2^p
+    base = sl.eigen_spectrum(_positive_definite_op())
+    op = _positive_definite_op()
+    op.matrix[:] *= 2.0**p
+    rep = sl.eigen_spectrum(op)
+    assert rep.metadata["residual_rel"] == pytest.approx(base.metadata["residual_rel"], rel=1e-3, abs=0)
+    assert 0 <= rep.metadata["bisection_gap_rel"] < 1e-12
+    assert np.abs(rep.positive / 2.0**p - base.positive).max() <= 1e-13 * base.positive.max()
+
+
 def test_eigen_spectrum_agreement_check_fires(monkeypatch):
     # the checked block is the top end; moving the largest dsterf eigenvalue
     # by 1e-6 relative leaves bisection on its own
@@ -280,10 +293,11 @@ def _symmetric(kind, n):
     return a + a.T
 
 
-@pytest.mark.parametrize("n", [2, 3, 33, 200])
+@pytest.mark.parametrize("n", [2, 3, 33, 65, 129, 200])
 @pytest.mark.parametrize("kind", ["real", "diagonal"])
 def test_blocked_back_transform_matches_per_reflector(kind, n):
-    # sizes below, at and across the compact-WY block boundary
+    # sizes below, at and across the 32-column blocks that dormqr applies
+    # its reflectors in
     m = _symmetric(kind, n)
     c, d, e, tau = spectral._tridiagonalize(np.array(m, order="F"))
     if kind == "diagonal":
@@ -297,6 +311,21 @@ def test_blocked_back_transform_matches_per_reflector(kind, n):
     t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
     assert np.abs(q.T @ m @ q - t).max() <= 1e-12 * np.abs(m).max()
+
+
+def test_back_transform_copies_no_panel_of_the_reflectors():
+    # one dormqr call reads the reflectors where the reduction left them:
+    # less than one 32-column panel of c is allocated
+    n = 2000
+    c, d, e, tau = spectral._tridiagonalize(np.array(_symmetric("real", n), order="F"))
+    z = np.random.default_rng(0).standard_normal((n, 5))
+    tracemalloc.start()
+    try:
+        spectral._back_transform(c, tau, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 32 * 8
 
 
 @pytest.mark.parametrize("n", [1, 2])
