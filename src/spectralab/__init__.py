@@ -18,7 +18,6 @@ _EXPORTS = {
     "Similitude": "measures",
     "SimilitudeSystem": "measures",
     "LipschitzPatch": "measures",
-    "DensityEstimate": "measures",
     "AhlforsBand": "measures",
     "ifs_dimension": "measures",
     "ifs_self_similar_measure": "measures",

@@ -462,14 +462,8 @@ def _measure_diagnostics(cfg, mu, v) -> dict:
             seed=cfg.seed,
         )
         out["ahlfors"] = _entry(band, ratio=band.ratio)
-        center = mu.positions[mu.atom_count // 2]
-        dens = measures.density_bounds(
-            mu, s=mu.components[0].nominal_dim, center=center, radii=radii
-        )
-        out["density_bounds"] = _entry(dens)
     else:
         out["ahlfors"] = None
-        out["density_bounds"] = None
     return out
 
 

@@ -36,7 +36,6 @@ MASS_RTOL = 1e-12
 IFS_DIMENSION_CAP = 64.0
 ATOM_BUDGET = 200_000
 REGULARITY_THRESHOLD = 50.0
-PREISS_CONSTANT = 10.0  # heuristic placeholder; the true constant is nonconstructive
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -463,22 +462,6 @@ def diameter(measure: PointCloudMeasure) -> float:
     return float(np.linalg.norm(span))
 
 
-def _ball_ratios(measure: PointCloudMeasure, s: float, centers: np.ndarray, radii: Sequence[float]):
-    """(r, ratios): the radii sorted, and mu(B(c, r)) / r^s of shape
-    (len(centers), len(r)).  Each radius must be positive and at least the
-    resolution floor."""
-    r = np.asarray(sorted(radii), dtype=float)
-    if r.size == 0 or np.any(r <= 0):
-        raise ValueError("radii must be positive")
-    floor = 4.0 * nearest_neighbor_spacing(measure)
-    if r[0] < floor:
-        raise ResolutionError(
-            f"radius {r[0]:g} below the resolution floor {floor:g} "
-            "(4 x nearest-neighbor spacing); the atom cloud cannot witness it"
-        )
-    return r, _ball_masses(measure, centers, r) / r**s
-
-
 @dataclass(frozen=True)
 class AhlforsBand:
     """Empirical bounds on mu(B(X, r)) / r^s over sampled centers and radii."""
@@ -493,6 +476,30 @@ class AhlforsBand:
     @property
     def ratio(self) -> float:
         return self.c_upper / self.c_lower if self.c_lower > 0 else math.inf
+
+
+def _band(measure: PointCloudMeasure, s: float, centers: np.ndarray, radii: Sequence[float]) -> AhlforsBand:
+    """The min/max band of mu(B(c, r)) / r^s over the centres and the radii.
+    Each radius must be positive and at least the resolution floor."""
+    r = np.asarray(sorted(radii), dtype=float)
+    if r.size == 0 or np.any(r <= 0):
+        raise ValueError("radii must be positive")
+    floor = 4.0 * nearest_neighbor_spacing(measure)
+    if r[0] < floor:
+        raise ResolutionError(
+            f"radius {r[0]:g} below the resolution floor {floor:g} "
+            "(4 x nearest-neighbor spacing); the atom cloud cannot witness it"
+        )
+    ratios = _ball_masses(measure, centers, r) / r**s
+    lo, hi = float(ratios.min()), float(ratios.max())
+    return AhlforsBand(
+        exponent=s,
+        c_lower=lo,
+        c_upper=hi,
+        is_regular=bool(lo > 0 and hi / lo <= REGULARITY_THRESHOLD),
+        radii=tuple(float(x) for x in r),
+        sample_count=len(centers),
+    )
 
 
 def ahlfors_constants(
@@ -515,36 +522,7 @@ def ahlfors_constants(
     else:
         rng = np.random.default_rng(seed)
         centers = measure.positions[rng.choice(n, size=sample_count, replace=False)]
-    r, ratios = _ball_ratios(measure, s, centers, radii)
-    lo, hi = float(ratios.min()), float(ratios.max())
-    return AhlforsBand(
-        exponent=s,
-        c_lower=lo,
-        c_upper=hi,
-        is_regular=bool(lo > 0 and hi / lo <= REGULARITY_THRESHOLD),
-        radii=tuple(float(x) for x in r),
-        sample_count=len(centers),
-    )
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Finite-scale proxy for the lower/upper s-densities at one point.
-
-    `mat_cond_ok` flags 0 < density < infinity at finite scale;
-    `preiss_ok` flags upper < c * lower with the placeholder constant
-    PREISS_CONSTANT (the true constant is nonconstructive) -- both heuristics.
-    """
-
-    lower: float
-    upper: float
-    mat_cond_ok: bool
-    preiss_ok: bool
-    preiss_constant: float
-
-    def __post_init__(self):
-        if self.lower > self.upper or self.lower < 0:
-            raise ValueError("need 0 <= lower <= upper")
+    return _band(measure, s, centers, radii)
 
 
 def density_bounds(
@@ -552,18 +530,10 @@ def density_bounds(
     s: float,
     center: Sequence[float],
     radii: Sequence[float],
-) -> DensityEstimate:
-    """Min/max of mu(B(X, r)) / r^s over the given radii at a fixed center."""
-    c = np.asarray(center, dtype=float)
-    _, ratios = _ball_ratios(measure, s, c[None, :], radii)
-    lower, upper = float(ratios.min()), float(ratios.max())
-    return DensityEstimate(
-        lower=lower,
-        upper=upper,
-        mat_cond_ok=bool(lower > 0 and math.isfinite(upper)),
-        preiss_ok=bool(upper < PREISS_CONSTANT * lower),
-        preiss_constant=PREISS_CONSTANT,
-    )
+) -> AhlforsBand:
+    """The band of mu(B(center, r)) / r^s over the given radii.  No pipeline
+    stage calls it; perfbench's tracer still patches it by name."""
+    return _band(measure, s, np.asarray(center, dtype=float)[None, :], radii)
 
 
 # -- scenario catalog --------------------------------------------------------

@@ -377,7 +377,10 @@ def assemble_fourier_bs(
             f"support box side {span.max():g} exceeds the localization margin L/2 = {L / 2:g}"
         )
     wv = measure.weights * density.values
-    return _toeplitz_operator(measure.positions, wv, L, K, modes, a, "fourier")
+    # F is L-periodic in X: reduced coordinates keep the phases accurate far
+    # from the origin, and those with |X| <= L/2 keep their bits
+    x = measure.positions
+    return _toeplitz_operator(x - L * np.round(x / L), wv, L, K, modes, a, "fourier")
 
 
 def _nn_distances(measure: PointCloudMeasure) -> np.ndarray:

@@ -11,6 +11,7 @@ so every windowed fit returns the window it used (see resolve_window).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +113,8 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     original matrix: ||M q - lam q|| <= 1e-8 ||M||, and bisection and dsterf
     agree to 1e-8 ||M||.  The check runs on T and M times the power of two
     that brings ||M|| into [1/2, 1), so its tolerances hold at any scale;
-    dsterf sees T unscaled.
+    dsterf sees T unscaled.  Below the normal range that power overflows,
+    and ||M|| there is a SolverError.
     A passed check leaves its margins in the report's metadata:
     `residual_rel` (largest residual / ||M||), `bisection_gap_rel` (largest
     bisection-dsterf gap / ||M||) and `checked_range` (lo, hi), the 0-based
@@ -137,6 +139,8 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
         norm = float(np.abs(values).max(initial=0.0))
         checked = norm > 0 and n >= 2
         if checked:
+            if norm < sys.float_info.min:
+                raise SolverError(f"||M|| = {norm:g} lies below the normal range; the check cannot scale it")
             # the block at the large-|lambda| end of the ascending values
             k = min(RESIDUAL_PAIRS, n)
             lo, hi = (0, k - 1) if abs(values[0]) >= abs(values[-1]) else (n - k, n - 1)

@@ -71,11 +71,7 @@ def test_summary_entries_are_their_results_fields(tmp_path):
         == {"exponent", "c_lower", "c_upper", "is_regular", "radii", "sample_count", "ratio"}
         == names(measures.AhlforsBand) | {"ratio"}
     )
-    assert (
-        set(summary["measure"]["density_bounds"])
-        == {"lower", "upper", "mat_cond_ok", "preiss_ok", "preiss_constant"}
-        == names(measures.DensityEstimate)
-    )
+    assert "density_bounds" not in summary["measure"]
     for mode in ("calibrated", "printed"):
         prediction = summary["prediction"][mode]
         assert (
@@ -224,6 +220,29 @@ def test_catalog_atoms_that_round_onto_one_point_are_config_error(tmp_path, caps
     assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 2
     assert (out / "FAILED").read_text().startswith("stage: measure\nerror: ScenarioError(")
     assert "coincident atoms" in capsys.readouterr().err
+
+
+def test_fourier_route_reads_coordinates_modulo_the_period(tmp_path):
+    # a circle at cx = 1e6 is the circle at the origin on the torus of
+    # period L = 8; unreduced, its phases lose about 10 bits
+    def run(cx):
+        raw = {
+            "scenario": "circle_fourier",
+            "measure": {"params": {"atoms": 400, "cx": cx}},
+            "operator": {"K": 12},
+            "checks": [],
+            "compare": None,
+        }
+        out = tmp_path / f"cx_{cx:g}"
+        assert main(["--out", str(out), "run", str(_write_config(tmp_path, raw))]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["operator"]["L"] == 8.0
+        return summary["spectral"]["primary"], read_spectrum_csv(out / "spectrum.csv")["+"][:40]
+
+    (origin, ref), (far, top) = run(0.0), run(1e6)
+    assert (far["n_positive"], far["n_negative"]) == (origin["n_positive"], origin["n_negative"])
+    assert len(ref) == len(top) == 40
+    np.testing.assert_allclose(top, ref, rtol=1e-7, atol=0.0)
 
 
 def test_support_too_large_for_the_torus_is_config_error(tmp_path, capsys):

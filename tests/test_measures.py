@@ -420,12 +420,11 @@ def test_density_bounds_segment_interior_and_endpoint():
     mu, _ = sl.builtin_measure("segment", {"atoms": 2000})
     radii = np.geomspace(0.01, 0.09, 8)
     interior = sl.density_bounds(mu, 1.0, [0.5, 0.0], radii)
-    assert interior.lower == pytest.approx(2.0, rel=0.05)
-    assert interior.upper == pytest.approx(2.0, rel=0.05)
+    assert interior.c_lower == pytest.approx(2.0, rel=0.05)
+    assert interior.c_upper == pytest.approx(2.0, rel=0.05)
     endpoint = sl.density_bounds(mu, 1.0, [0.0, 0.0], radii)
-    assert endpoint.lower == pytest.approx(1.0, rel=0.05)
-    assert endpoint.upper == pytest.approx(1.0, rel=0.05)
-    assert interior.mat_cond_ok and interior.preiss_ok
+    assert endpoint.c_lower == pytest.approx(1.0, rel=0.05)
+    assert endpoint.c_upper == pytest.approx(1.0, rel=0.05)
 
 
 def test_density_bounds_cantor_oscillates_but_bounded():
@@ -433,14 +432,14 @@ def test_density_bounds_cantor_oscillates_but_bounded():
     center = mu.positions[np.argmin(mu.positions[:, 0])]  # near the fixed point 0
     radii = [3.0**-j for j in range(2, 8)]
     est = sl.density_bounds(mu, LN2_LN3, center, radii)
-    assert est.upper / est.lower <= 10.0
+    assert est.c_upper / est.c_lower <= 10.0
 
 
 def test_density_bounds_interior_brackets_two():
     mu, _ = sl.builtin_measure("segment", {"atoms": 4000})
     radii = np.geomspace(0.005, 0.09, 10)
     est = sl.density_bounds(mu, 1.0, [0.47, 0.0], radii)
-    assert est.lower <= 2.0 <= est.upper or abs(est.lower - 2.0) / 2.0 < 0.05
+    assert est.c_lower <= 2.0 <= est.c_upper or abs(est.c_lower - 2.0) / 2.0 < 0.05
 
 
 # -- ball statistics against a brute-force oracle --------------------------------
@@ -487,8 +486,8 @@ def test_ball_statistics_match_oracle(n, dim, radii):
 
     est = sl.density_bounds(mu, s, centers[0], radii)
     ratios = expected[0] / radii**s
-    assert est.lower == pytest.approx(ratios.min(), rel=1e-12, abs=0.0)
-    assert est.upper == pytest.approx(ratios.max(), rel=1e-12, abs=0.0)
+    assert est.c_lower == pytest.approx(ratios.min(), rel=1e-12, abs=0.0)
+    assert est.c_upper == pytest.approx(ratios.max(), rel=1e-12, abs=0.0)
 
 
 def test_ball_rule_is_squared_distance_at_the_edge():
@@ -503,7 +502,7 @@ def test_ball_rule_is_squared_distance_at_the_edge():
     assert abs(norm_rule - expected) > 1e-3 * expected
     assert sl.ball_mass(mu, c, r) == pytest.approx(expected, rel=1e-12, abs=0.0)
     est = sl.density_bounds(mu, 1.0, c, [r])
-    assert est.lower == est.upper == pytest.approx(expected / r, rel=1e-12, abs=0.0)
+    assert est.c_lower == est.c_upper == pytest.approx(expected / r, rel=1e-12, abs=0.0)
 
 
 # -- type invariants ---------------------------------------------------------------

@@ -186,6 +186,17 @@ def test_eigen_spectrum_checks_a_matrix_at_any_scale(p):
     assert np.abs(rep.positive / 2.0**p - base.positive).max() <= 1e-13 * base.positive.max()
 
 
+def test_eigen_spectrum_below_the_normal_range_is_solver_error():
+    # ||M|| near 2e-316 lies below the smallest normal double, where the
+    # power of two that scales it into [1/2, 1) overflows
+    op = _positive_definite_op()
+    op.matrix[:] *= 1e-318
+    before = op.matrix.tobytes()
+    with pytest.raises(SolverError, match="below the normal range"):
+        sl.eigen_spectrum(op)
+    assert op.matrix.tobytes() == before
+
+
 def test_eigen_spectrum_agreement_check_fires(monkeypatch):
     # the checked block is the top end; moving the largest dsterf eigenvalue
     # by 1e-6 relative leaves bisection on its own
