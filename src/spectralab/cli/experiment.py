@@ -2,7 +2,9 @@
 
 A run is fully determined by its config (scenario + overrides + seed); the
 summary JSON is byte-identical across reruns.  Wall-clock timings are kept
-out of the summary for that reason and land in a sidecar timings file.
+out of the summary for that reason and land in a sidecar timings file; the
+numerical health of the run (the Orlicz searches' evaluations and residuals,
+the eigensolve checks' margins) lands in diagnostics.json.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from ..errors import (
 from .scenarios import scenario_defaults
 
 SCHEMA_VERSION = 1
+# The margins a passed eigensolve check leaves in EigenReport.metadata.
+_EIGEN_MARGINS = ("residual_rel", "bisection_gap_rel", "checked_range")
 
 
 def _merge(base, override):
@@ -402,6 +406,8 @@ class ExperimentReport:
     timings: dict
     eigen_primary: spectral.EigenReport | None = None
     eigen_compare: spectral.EigenReport | None = None
+    # per Orlicz norm: its search's evaluations and residual (diagnostics.json)
+    orlicz_searches: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -640,11 +646,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
         v = _resolve_density(cfg, mu, v_default)
         tick("measure_io", measures.save_measure_text, mu, out / "measure.txt", v)
         measure_diag = tick("diagnostics", _measure_diagnostics, cfg, mu, v)
-        orlicz_diag = tick(
+        norms = tick(
             "orlicz",
             lambda: {
-                "luxemburg_psi": orlicz.luxemburg_norm(v, mu, "psi").value,
-                "luxemburg_phi": orlicz.luxemburg_norm(v, mu, "phi").value,
+                "luxemburg_psi": orlicz.luxemburg_norm(v, mu, "psi"),
+                "luxemburg_phi": orlicz.luxemburg_norm(v, mu, "phi"),
                 "averaged": orlicz.averaged_norm(v, mu),
             },
         )
@@ -680,13 +686,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
         report = ExperimentReport(
             config=cfg,
             measure=measure_diag,
-            orlicz=orlicz_diag,
+            orlicz={key: norm.value for key, norm in norms.items()},
             prediction=prediction,
             spectral_summary=summary,
             verdicts=[],
             timings=timings,
             eigen_primary=primary,
             eigen_compare=compare,
+            orlicz_searches={
+                key: {"evaluations": norm.iterations, "residual": norm.residual} for key, norm in norms.items()
+            },
         )
         stage = "verdicts"
         report.verdicts = _evaluate_checks(report)
@@ -775,7 +784,20 @@ def emit_report(report: ExperimentReport, out_dir) -> None:
                 "n",
                 "partial sum / log(n+2)",
             )
-    # Timings go to a sidecar so summary.json stays deterministic.
+    # The numerical health of the run and its timings go to sidecars, so
+    # summary.json stays byte-stable.
+    solves = {"primary": report.eigen_primary, "compare": report.eigen_compare}
+    diagnostics = {
+        "orlicz": report.orlicz_searches,
+        "eigensolve": {
+            name: {key: rep.metadata[key] for key in _EIGEN_MARGINS if key in rep.metadata}
+            for name, rep in solves.items()
+            if rep is not None
+        },
+    }
+    with open(out / "diagnostics.json", "w") as f:
+        json.dump(_jsonable(diagnostics), f, indent=2, sort_keys=True)
+        f.write("\n")
     with open(out / "timings.txt", "w") as f:
         for name, dt in report.timings.items():
             f.write(f"{name} {dt:.3f}\n")

@@ -8,7 +8,9 @@ The Young pair used throughout is
 The Luxemburg norm is the infimum scaling that brings the modular below one;
 the averaged norm is the dual-constrained supremum form used in the critical
 eigenvalue estimates.  Both reduce, on an atom cloud, to one-dimensional
-monotone root finding.
+monotone root finding: _bracket_root brackets the root between a double and
+its half, and measures.bisect_threshold, a safeguarded regula falsi, narrows
+the bracket to adjacent doubles, the pair bisection would end at.
 """
 
 from __future__ import annotations
@@ -63,30 +65,37 @@ def phi(t):
     return value
 
 
-def _bracket_root(infeasible, start: float) -> tuple[float, int]:
-    """Threshold of a test that holds below it and fails above it: hi doubles
-    from max(start, 1e-300) while infeasible(hi), lo halves from hi / 2, hi
-    following, while infeasible(lo) fails (down to 1e-300), and bisect_threshold
-    narrows [lo, hi] to adjacent doubles.  Returns hi, the smallest double where
-    the test fails, and the count of doublings, halvings and bisection steps.
-    A threshold above 1e300 is a SaturationError."""
-    hi = max(start, 1e-300)
-    steps = 0
-    while infeasible(hi):
-        hi *= 2.0
-        steps += 1
-        if hi > 1e300:
+def _bracket_root(excess, start: float) -> tuple[float, int]:
+    """Threshold of a decreasing test, a point s being below it when
+    excess(s) > 0: from max(start, 1e-300), s doubles while it is below the
+    threshold, or else halves while it is not (down to 1e-300), until the
+    last two points bracket it, and bisect_threshold narrows that bracket to
+    adjacent doubles.  Returns hi, the smallest double not below the
+    threshold, and the count of excess evaluations.  A threshold above
+    1e300 is a SaturationError."""
+    x = max(start, 1e-300)
+    fx = excess(x)
+    evaluations = 1
+    step = 2.0 if fx > 0 else 0.5
+    while True:
+        prev, f_prev = x, fx
+        x *= step
+        if x > 1e300:
             raise SaturationError("failed to bracket an Orlicz-norm root below 1e300")
-    lo = 0.5 * hi
-    while lo > 1e-300 and not infeasible(lo):
-        lo, hi = 0.5 * lo, lo
-        steps += 1
-    _, hi, bisections = bisect_threshold(infeasible, lo, hi)
-    return hi, steps + bisections
+        fx = excess(x)
+        evaluations += 1
+        if (fx > 0) != (f_prev > 0) or x <= 1e-300:
+            break
+    (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (prev, f_prev)])
+    _, hi, steps = bisect_threshold(excess, lo, hi, f_lo, f_hi)
+    return hi, evaluations + steps
 
 
 @dataclass(frozen=True)
 class OrliczNormResult:
+    """A norm, the evaluations of the modular (or constraint) its search
+    made, and the relative residual of the tight condition at the result."""
+
     value: float
     iterations: int
     residual: float
@@ -104,8 +113,11 @@ def luxemburg_norm(
     """Luxemburg norm: inf over s > 0 of { sum_i w_i F(|V_i| / s) <= 1 }.
 
     The modular is continuous and strictly decreasing in s wherever positive,
-    so the infimum is the root of modular(s) = 1, found by bracketed
-    bisection.  Zero density gives norm zero.
+    so the infimum is the root of modular(s) = 1: the smallest double s
+    whose modular is at most 1, found by _bracket_root on the signed excess
+    modular(s) - 1.  `iterations` counts the modular's evaluations, and
+    `residual` is |modular(s) - 1| at the result.  Zero density gives norm
+    zero.
     """
     check_pairing(measure, values)
     if which not in _YOUNG:
@@ -120,7 +132,7 @@ def luxemburg_norm(
     def modular(s: float) -> float:
         return float(np.sum(w * _young(which, v / s)))
 
-    value, steps = _bracket_root(lambda s: modular(s) > 1.0, float(v.max()))
+    value, steps = _bracket_root(lambda s: modular(s) - 1.0, float(v.max()))
     residual = abs(modular(value) - 1.0)  # value is the feasible endpoint
     return OrliczNormResult(float(value), steps, float(residual))
 
@@ -129,14 +141,17 @@ def averaged_norm(
     values: SignedDensity,
     measure: PointCloudMeasure,
     subset: np.ndarray | None = None,
-) -> float:
+) -> OrliczNormResult:
     """Solomyak averaged norm over a subset E of atoms.
 
     Maximizes sum_E w |V| g subject to sum_E w phi(g) <= mu(E).  The
     Lagrange stationarity condition gives g_i = log(1 + |V_i| / lam) with the
-    multiplier lam >= 0 fixed by making the constraint tight; the constraint
-    value is strictly decreasing in lam, so bisection applies.  Returns 0 for
-    an empty or massless subset.
+    multiplier lam >= 0 fixed by making the constraint tight: the smallest
+    double lam whose constraint value is at most mu(E).  That value is
+    strictly decreasing in lam, so the search of _bracket_root applies, with
+    the signed excess constraint(lam) - mu(E).  `iterations` counts the
+    constraint's evaluations, and `residual` is its relative slack at lam.
+    Returns the norm 0 for an empty or massless subset.
     """
     check_pairing(measure, values)
     if subset is None:
@@ -147,11 +162,9 @@ def averaged_norm(
         w = measure.weights[idx]
         v = np.abs(values.values[idx])
     mass = float(w.sum())
-    if mass <= 0.0 or len(w) == 0:
-        return 0.0
     mask = (w > 0) & (v > 0)
-    if not np.any(mask):
-        return 0.0
+    if mass <= 0.0 or not np.any(mask):
+        return OrliczNormResult(0.0, 0, 0.0)
     w, v = w[mask], v[mask]
 
     def constraint(lam: float) -> float:
@@ -159,9 +172,10 @@ def averaged_norm(
         r = np.minimum(v / lam, 1e300)
         return float(np.sum(w * (r - np.log1p(r))))
 
-    lam, _ = _bracket_root(lambda lam: constraint(lam) > mass, float(v.max()))
+    lam, steps = _bracket_root(lambda lam: constraint(lam) - mass, float(v.max()))
     g = np.log1p(v / lam)
-    return float(np.sum(w * v * g))
+    residual = abs(constraint(lam) / mass - 1.0)
+    return OrliczNormResult(float(np.sum(w * v * g)), steps, residual)
 
 
 def holder_bound(

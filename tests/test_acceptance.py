@@ -180,7 +180,7 @@ def test_criterion_08_fractal_order_sharpness():
     bounds = sl.order_bounds(rep, "+", window=(20, 400))
     lo, hi = bounds.inf, bounds.sup
     ratio = hi / lo
-    av = averaged_norm(v, mu)
+    av = averaged_norm(v, mu).value
     fitted_c = hi / av
     bound_ok = hi <= 5.0 * fitted_c * av
     ok = ratio <= 10.0 and bound_ok
@@ -301,7 +301,7 @@ def test_criterion_11_orlicz_suite():
         w = rng.uniform(0.1, 1.0, 50)
         vv = np.abs(rng.standard_normal(50)) * rng.uniform(0.5, 2.0)
         mu = PointCloudMeasure.from_atoms(rng.standard_normal((50, 2)), w, 1.0)
-        got = averaged_norm(SignedDensity(vv), mu)
+        got = averaged_norm(SignedDensity(vv), mu).value
         want = oracle(w, vv, float(w.sum()))
         oracle_worst = max(oracle_worst, _rel(got, want))
 
@@ -312,8 +312,8 @@ def test_criterion_11_orlicz_suite():
         vv = rng.standard_normal(64)
         lux1 = luxemburg_norm(SignedDensity(vv), mu, "psi").value
         lux2 = luxemburg_norm(SignedDensity(2 * vv), mu, "psi").value
-        av1 = averaged_norm(SignedDensity(vv), mu)
-        av2 = averaged_norm(SignedDensity(2 * vv), mu)
+        av1 = averaged_norm(SignedDensity(vv), mu).value
+        av2 = averaged_norm(SignedDensity(2 * vv), mu).value
         homo_worst = max(homo_worst, abs(lux2 - 2 * lux1) / (2 * lux1))
         homo_worst = max(homo_worst, abs(av2 - 2 * av1) / (2 * av1))
 

@@ -159,7 +159,7 @@ def _oracle(check, report) -> dict:
     elif kind == "order_norm_constant":
         ow = cfg.analysis["order_window"]
         hi = spectral.order_bounds(primary, "+", window=tuple(ow)).sup
-        av = orlicz.averaged_norm(v, mu)
+        av = orlicz.averaged_norm(v, mu).value
         factor = check.get("factor", 5.0)
         bound = factor * av
         entry.update(sup=hi, averaged_norm=av, fitted_constant=hi / av, bound=bound, factor=factor)

@@ -222,6 +222,56 @@ def test_catalog_atoms_that_round_onto_one_point_are_config_error(tmp_path, caps
     assert "coincident atoms" in capsys.readouterr().err
 
 
+def _circle_fourier_at(cx, compare=None):
+    """The 400-atom circle_fourier at K = 12, centred at (cx, 0)."""
+    return {
+        "scenario": "circle_fourier",
+        "measure": {"params": {"atoms": 400, "cx": cx}},
+        "operator": {"K": 12},
+        "checks": [],
+        "compare": compare,
+    }
+
+
+@pytest.mark.parametrize("cx", [1e10, 1e12, 1e13])
+def test_catalog_measure_that_rounding_moves_is_config_error(tmp_path, capsys, cx):
+    # doubles at cx are 1.2e-4, 7.8e-3 and 0.13 of the atom spacing apart; the
+    # Fourier route reported 67, 77 and 94 positive eigenvalues, not 49
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, _circle_fourier_at(cx)))]) == 2
+    assert (out / "FAILED").read_text().startswith("stage: measure\nerror: ScenarioError(")
+    assert "rounding moves its atoms" in capsys.readouterr().err
+
+
+def test_catalog_measure_within_the_rounding_bound_keeps_its_spectrum(tmp_path):
+    # at cx = 1e8 doubles are 9.5e-7 of the atom spacing apart
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(_write_config(tmp_path, _circle_fourier_at(1e8)))]) == 0
+    primary = json.loads((out / "summary.json").read_text())["spectral"]["primary"]
+    assert (primary["n_positive"], primary["n_negative"]) == (49, 0)
+
+
+def test_run_records_its_numerical_health_in_diagnostics_json(tmp_path):
+    compare = {"route": "logkernel", "kernel": "bessel"}
+    report = run_experiment(ExperimentConfig.from_dict(_circle_fourier_at(0.0, compare)), tmp_path)
+    diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert set(diagnostics) == {"orlicz", "eigensolve"}
+    assert set(diagnostics["orlicz"]) == set(report.orlicz) == {"luxemburg_psi", "luxemburg_phi", "averaged"}
+    for search in diagnostics["orlicz"].values():
+        assert set(search) == {"evaluations", "residual"}
+        assert search["evaluations"] > 0 and 0.0 <= search["residual"] <= 1e-10
+    solves = {"primary": report.eigen_primary, "compare": report.eigen_compare}
+    assert set(diagnostics["eigensolve"]) == set(solves)
+    for name, rep in solves.items():
+        lo, hi = rep.metadata["checked_range"]
+        assert diagnostics["eigensolve"][name] == {
+            "residual_rel": rep.metadata["residual_rel"],
+            "bisection_gap_rel": rep.metadata["bisection_gap_rel"],
+            "checked_range": [lo, hi],
+        }
+    assert "diagnostics" not in json.loads((tmp_path / "summary.json").read_text())
+
+
 def test_fourier_route_reads_coordinates_modulo_the_period(tmp_path):
     # a circle at cx = 1e6 is the circle at the origin on the torus of
     # period L = 8; unreduced, its phases lose about 10 bits

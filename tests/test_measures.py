@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -74,6 +74,47 @@ def test_ifs_dimension_errors():
         sl.ifs_dimension([sl.Similitude(0.5, [0.0])])
     with pytest.raises(InvalidRatioError):
         sl.Similitude(1.2, [0.0])
+
+
+def _bisect(excess, lo, hi):
+    """The plain bisection loop that bisect_threshold replaced, kept as its
+    reference: for a monotone test both end at the same adjacent doubles."""
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return lo, hi
+
+
+# Decreasing excess functions of x with threshold near c; q sets the width of
+# the plateaus, on which the value is constant (0 on the one above the
+# threshold); far from c the plateau forms reach +-inf.
+EXCESS_FORMS = {
+    "linear": lambda c, q: lambda x: c - x,
+    "reciprocal": lambda c, q: lambda x: c / x - 1.0,
+    "step": lambda c, q: lambda x: 1.0 if x < c else 0.0,
+    "linear_plateaus": lambda c, q: lambda x: float(np.floor((c - x) / q)),
+    "reciprocal_plateaus": lambda c, q: lambda x: float(np.floor((c / x - 1.0) / q)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    form=st.sampled_from(sorted(EXCESS_FORMS)),
+    exponents=st.tuples(st.integers(-300, 299), st.integers(-300, 299)).filter(lambda ab: ab[0] != ab[1]),
+    mantissas=st.tuples(st.floats(1.0, 9.99), st.floats(1.0, 9.99)),
+    at=st.floats(0.0, 1.0),
+    plateau=st.integers(0, 17),
+)
+def test_bisect_threshold_ends_where_bisection_ends(form, exponents, mantissas, at, plateau):
+    (a, b), (m_a, m_b) = sorted(exponents), mantissas
+    lo, hi = m_a * 10.0**a, m_b * 10.0**b
+    c = lo * (hi / lo) ** at
+    with np.errstate(over="ignore", divide="ignore"):
+        excess = EXCESS_FORMS[form](c, c * 10.0**-plateau)
+        f_lo, f_hi = excess(lo), excess(hi)
+        assume(f_lo > 0 >= f_hi)
+        got = sl.measures.bisect_threshold(excess, lo, hi, f_lo, f_hi)
+        assert got[:2] == _bisect(excess, lo, hi)
+    assert math.nextafter(got[0], math.inf) == got[1]
 
 
 # -- self-similar measures ----------------------------------------------------
@@ -554,7 +595,7 @@ def _old_measure_text(mu, v):
     """The text the row-at-once writer produced: one repr per value."""
     lines = [f"{mu.ambient_dim} {len(mu.components)} {mu.total_mass!r}\n"]
     lines += [f"{c.stop - c.start} {c.nominal_dim!r}\n" for c in mu.components]
-    table = np.column_stack([mu.positions, mu.weights, v.values])
+    table = np.column_stack([mu.positions, mu.weights] + ([] if v is None else [v.values]))
     lines += [" ".join(map(repr, row)) + "\n" for row in table.tolist()]
     return "".join(lines)
 
@@ -568,6 +609,72 @@ def test_measure_text_bytes_match_one_repr_per_value(tmp_path):
     path = tmp_path / "m.txt"
     sl.save_measure_text(mu, path, v)
     assert path.read_text() == _old_measure_text(mu, v)
+
+
+def _runs(n, *runs):
+    """A column of n values: the (value, length) runs, repeated until n."""
+    return np.resize(np.concatenate([np.full(k, x) for x, k in runs]), n)
+
+
+B = sl.measures.TEXT_BLOCK_ROWS
+RUN_COLUMNS = {
+    # a run from 3 rows before a block boundary to 5 rows after it
+    "run_across_a_block": lambda n: _runs(n, (0.25, B - 3), (0.5, 8), (0.75, B)),
+    "signed_zeros": lambda n: _runs(n, (-0.0, 1), (0.0, 2), (-0.0, 3), (0.0, 1)),
+    "subnormals": lambda n: _runs(n, (5e-324, 2), (-5e-324, 1), (2.5e-310, 3), (1e-5, 1)),
+    "constant": lambda n: np.full(n, 0.1),
+    "new_value_each_row": lambda n: np.cos(np.arange(n)) * 10.0 ** (np.arange(n) % 600 - 300),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * B + 7], ids=["zero_atoms", "one_atom", "three_blocks"])
+@pytest.mark.parametrize("kind", RUN_COLUMNS)
+def test_measure_text_bytes_match_on_runs_of_equal_values(tmp_path, kind, n):
+    # every column of the kind (weights made nonnegative), beside a density
+    # that is new in each row and without one
+    col = RUN_COLUMNS[kind](n)
+    positions = np.column_stack([col, col[::-1]])
+    mu = sl.PointCloudMeasure.from_atoms(positions, np.abs(col), 1.0)
+    for v in (SignedDensity(col), SignedDensity(np.sin(np.arange(n))), None):
+        path = tmp_path / "m.txt"
+        sl.save_measure_text(mu, path, v)
+        assert path.read_text() == _old_measure_text(mu, v)
+
+
+run_values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 0.1, 1.0, -1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def run_measures(draw):
+    """(positions, weights, density) of up to three blocks of rows, each
+    column a cycle of runs of equal values, up to a block and a bit long."""
+    n = draw(st.integers(min_value=0, max_value=3 * B))
+    runs = st.lists(st.tuples(run_values, st.integers(min_value=1, max_value=B + 2)), min_size=1, max_size=6)
+    positions = np.column_stack([_runs(n, *draw(runs)) for _ in range(draw(st.integers(1, 3)))])
+    weights = np.minimum(np.abs(_runs(n, *draw(runs))), 1e300)  # a finite weight sum
+    return positions, weights, _runs(n, *draw(runs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_measures())
+def test_measure_text_bytes_match_one_repr_per_value_on_any_runs(tmp_path_factory, case):
+    positions, weights, density = case
+    mu = sl.PointCloudMeasure.from_atoms(positions, weights, 1.0)
+    path = tmp_path_factory.mktemp("text") / "m.txt"
+    sl.save_measure_text(mu, path, SignedDensity(density))
+    assert path.read_text() == _old_measure_text(mu, SignedDensity(density))
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["default_density", "expression_density"])
+def test_measure_text_writer_peak_is_bounded_at_80k_atoms(tmp_path, varying):
+    # 1.08 MB when every value was formatted in blocks of 8192 rows
+    mu, v = sl.builtin_measure("circle", {"atoms": 80_000, "radius": 1.1, "cx": 0.2, "cy": -0.3})
+    if varying:
+        x, y = mu.positions.T
+        v = SignedDensity(1.75 + 0.5 * np.sin(3 * x + 1.25) * np.cos(y))
+    assert _peak_bytes(sl.save_measure_text, mu, tmp_path / "m.txt", v) < 1.1e6
 
 
 @pytest.mark.parametrize(

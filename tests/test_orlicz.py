@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from spectralab.errors import SaturationError
-from spectralab.measures import PointCloudMeasure, SignedDensity
+from spectralab.measures import PointCloudMeasure, SignedDensity, builtin_measure
 from spectralab.orlicz import averaged_norm, holder_bound, luxemburg_norm, phi, psi
 
 
@@ -146,7 +146,7 @@ def test_luxemburg_phi_norm_finite():
 
 def test_averaged_zero():
     mu = _prob_measure(10)
-    assert averaged_norm(SignedDensity(np.zeros(10)), mu) == 0.0
+    assert averaged_norm(SignedDensity(np.zeros(10)), mu).value == 0.0
 
 
 def test_averaged_constant_closed_form():
@@ -154,7 +154,7 @@ def test_averaged_constant_closed_form():
     subset = np.arange(15)
     m_e = float(mu.weights[subset].sum())
     for c in (0.7, 2.0, 9.0):
-        got = averaged_norm(SignedDensity(np.full(40, c)), mu, subset)
+        got = averaged_norm(SignedDensity(np.full(40, c)), mu, subset).value
         assert got == pytest.approx(c * m_e * T_STAR_PHI, rel=1e-9)
 
 
@@ -198,7 +198,7 @@ def test_averaged_matches_convex_oracle():
         w = rng.uniform(0.1, 1.0, n)
         v = np.abs(rng.standard_normal(n)) * rng.uniform(0.5, 2.0)
         mu = PointCloudMeasure.from_atoms(rng.standard_normal((n, 2)), w, 1.0)
-        got = averaged_norm(SignedDensity(v), mu)
+        got = averaged_norm(SignedDensity(v), mu).value
         want = _averaged_norm_slsqp(w, v, float(w.sum()))
         assert got == pytest.approx(want, rel=1e-6), f"trial {trial}"
 
@@ -210,7 +210,7 @@ def test_averaged_small_instance_against_oracle():
         w = rng.uniform(0.2, 1.0, n)
         v = rng.uniform(0.0, 3.0, n)
         mu = PointCloudMeasure.from_atoms(rng.standard_normal((n, 2)), w, 1.0)
-        got = averaged_norm(SignedDensity(v), mu)
+        got = averaged_norm(SignedDensity(v), mu).value
         want = _averaged_norm_slsqp(w, v, float(w.sum()))
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -220,8 +220,8 @@ def test_averaged_homogeneous():
     mu = _prob_measure(30, seed=8)
     for _ in range(10):
         v = np.abs(rng.standard_normal(30))
-        a = averaged_norm(SignedDensity(v), mu)
-        b = averaged_norm(SignedDensity(3.5 * v), mu)
+        a = averaged_norm(SignedDensity(v), mu).value
+        b = averaged_norm(SignedDensity(3.5 * v), mu).value
         assert b == pytest.approx(3.5 * a, rel=1e-9)
 
 
@@ -231,8 +231,8 @@ def test_averaged_monotone_under_zero_extension():
     mu = _prob_measure(40, seed=10)
     v = np.zeros(40)
     v[:20] = np.abs(rng.standard_normal(20))
-    small = averaged_norm(SignedDensity(v), mu, np.arange(20))
-    large = averaged_norm(SignedDensity(v), mu, np.arange(40))
+    small = averaged_norm(SignedDensity(v), mu, np.arange(20)).value
+    large = averaged_norm(SignedDensity(v), mu, np.arange(40)).value
     assert large >= small - 1e-12
 
 
@@ -243,7 +243,7 @@ def test_averaged_luxemburg_equivalence_band():
     ratios = []
     for _ in range(25):
         v = np.abs(rng.standard_normal(100)) * rng.uniform(0.1, 10)
-        av = averaged_norm(SignedDensity(v), mu)
+        av = averaged_norm(SignedDensity(v), mu).value
         lux = luxemburg_norm(SignedDensity(v), mu, "psi").value
         ratios.append(av / lux)
     assert max(ratios) / min(ratios) < 10.0
@@ -262,3 +262,13 @@ def test_holder_constant_two_over_random_instances():
         v = rng.standard_normal(n) * rng.uniform(0.1, 4)
         lhs, rhs = holder_bound(SignedDensity(f), SignedDensity(v), mu)
         assert lhs <= rhs * (1 + 1e-12), f"trial {trial}: {lhs} > {rhs}"
+
+
+def test_orlicz_norms_of_an_80k_atom_cloud_take_half_the_bisection_evaluations():
+    # the bracketing and bisection search took 53 steps for each Luxemburg
+    # norm of this cloud
+    mu, _ = builtin_measure("circle", {"atoms": 80_000, "radius": 1.1, "cx": 0.2, "cy": -0.3})
+    x, y = mu.positions.T
+    v = SignedDensity(1.75 + 0.5 * np.sin(3 * x + 1.25) * np.cos(y))
+    for norm in (luxemburg_norm(v, mu, "psi"), luxemburg_norm(v, mu, "phi"), averaged_norm(v, mu)):
+        assert 0 < norm.iterations <= 53 // 2
