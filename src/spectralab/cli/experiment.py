@@ -4,7 +4,8 @@ A run is fully determined by its config (scenario + overrides + seed); the
 summary JSON is byte-identical across reruns.  Wall-clock timings are kept
 out of the summary for that reason and land in a sidecar timings file; the
 numerical health of the run (the Orlicz searches' evaluations and residuals,
-the eigensolve checks' margins) lands in diagnostics.json.
+each eigensolve's check margins and count of eigenvalues at the floor) lands
+in diagnostics.json.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from ..errors import (
 from .scenarios import scenario_defaults
 
 SCHEMA_VERSION = 1
-# The margins a passed eigensolve check leaves in EigenReport.metadata.
-_EIGEN_MARGINS = ("residual_rel", "bisection_gap_rel", "checked_range")
 
 
 def _merge(base, override):
@@ -395,19 +394,36 @@ def _spectral_summary(report: spectral.EigenReport, analysis: dict) -> dict:
     return out
 
 
+def _per_solve(solves: dict, record: Callable[[spectral.EigenReport], dict]) -> dict:
+    """The record of each eigensolve of a run, in the shape of `solves`:
+    primary, compare when configured, and variants by label."""
+    variants = {label: record(rep) for label, rep in solves.get("variants", {}).items()}
+    return {key: variants if key == "variants" else record(rep) for key, rep in solves.items()}
+
+
+def _solve_health(report: spectral.EigenReport) -> dict:
+    """An eigensolve's check margins and its count of eigenvalues at the floor."""
+    return {**report.metadata, "n_at_floor": report.size - len(report.positive) - len(report.negative)}
+
+
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
     measure: dict
-    orlicz: dict
+    norms: dict  # orlicz.OrliczNormResult by name
     prediction: dict
-    spectral_summary: dict
+    solves: dict  # spectral.EigenReport: primary, compare, variants by label
+    spectral_summary: dict  # _spectral_summary of each solve
     verdicts: list
     timings: dict
-    eigen_primary: spectral.EigenReport | None = None
-    eigen_compare: spectral.EigenReport | None = None
-    # per Orlicz norm: its search's evaluations and residual (diagnostics.json)
-    orlicz_searches: dict = field(default_factory=dict)
+
+    @property
+    def eigen_primary(self) -> spectral.EigenReport:
+        return self.solves["primary"]
+
+    @property
+    def eigen_compare(self) -> spectral.EigenReport | None:
+        return self.solves.get("compare")
 
     @property
     def all_passed(self) -> bool:
@@ -419,7 +435,7 @@ class ExperimentReport:
             "schema_version": SCHEMA_VERSION,
             "config": asdict(self.config),
             "measure": self.measure,
-            "orlicz": self.orlicz,
+            "orlicz": {key: norm.value for key, norm in self.norms.items()},
             "prediction": self.prediction,
             "spectral": self.spectral_summary,
             "verdicts": self.verdicts,
@@ -558,7 +574,7 @@ def _order_norm_constant(check: dict, report) -> dict:
     """sup k lambda_k <= factor * averaged Orlicz norm of V; the fitted
     constant sup / norm is recorded."""
     bounds = _summary_value(report, "order_bounds")
-    hi, av, factor = bounds["sup"], report.orlicz["averaged"], check.get("factor", 5.0)
+    hi, av, factor = bounds["sup"], report.norms["averaged"].value, check.get("factor", 5.0)
     fitted = hi / av if av > 0 else math.inf
     # unclipped runs keep their summary bytes
     clipped = {k: bounds[k] for k in ("window", "requested")} if "requested" in bounds else {}
@@ -667,35 +683,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             op = tick(f"assemble{suffix}", _assembly(op_cfg, mu.ambient_dim, mu.atom_count), mu, v)
             return tick(f"eigensolve{suffix}", spectral.eigen_spectrum, op)
 
-        primary = spectrum(cfg.operator)
-        tick("spectrum_io", spectral.write_spectrum_csv, primary, out / "spectrum.csv")
-
-        compare = None
+        solves = {"primary": spectrum(cfg.operator)}
+        tick("spectrum_io", spectral.write_spectrum_csv, solves["primary"], out / "spectrum.csv")
         if cfg.compare is not None:
-            compare = spectrum(cfg.compare, "_compare")
-            spectral.write_spectrum_csv(compare, out / "spectrum_compare.csv")
-        variants = {var["label"]: spectrum(var["operator"], f"_{var['label']}") for var in cfg.variants}
+            solves["compare"] = spectrum(cfg.compare, "_compare")
+            spectral.write_spectrum_csv(solves["compare"], out / "spectrum_compare.csv")
+        if cfg.variants:
+            solves["variants"] = {var["label"]: spectrum(var["operator"], f"_{var['label']}") for var in cfg.variants}
 
         stage = "analysis"
-        summary = {"primary": _spectral_summary(primary, cfg.analysis)}
-        if compare is not None:
-            summary["compare"] = _spectral_summary(compare, cfg.analysis)
-        for label, rep in variants.items():
-            summary.setdefault("variants", {})[label] = _spectral_summary(rep, cfg.analysis)
-
         report = ExperimentReport(
             config=cfg,
             measure=measure_diag,
-            orlicz={key: norm.value for key, norm in norms.items()},
+            norms=norms,
             prediction=prediction,
-            spectral_summary=summary,
+            solves=solves,
+            spectral_summary=_per_solve(solves, lambda rep: _spectral_summary(rep, cfg.analysis)),
             verdicts=[],
             timings=timings,
-            eigen_primary=primary,
-            eigen_compare=compare,
-            orlicz_searches={
-                key: {"evaluations": norm.iterations, "residual": norm.residual} for key, norm in norms.items()
-            },
         )
         stage = "verdicts"
         report.verdicts = _evaluate_checks(report)
@@ -760,40 +765,34 @@ def emit_report(report: ExperimentReport, out_dir) -> None:
     with open(out / "summary.json", "w") as f:
         json.dump(_jsonable(report.summary_dict()), f, indent=2, sort_keys=True)
         f.write("\n")
-    if report.eigen_primary is not None:
-        pos = report.eigen_primary.positive
-        k = np.arange(1, len(pos) + 1)
-        with open(out / "weyl.dat", "w") as f:
-            f.write("# k  k*lambda_k\n")
-            for kk, lam in zip(k, pos):
-                f.write(f"{kk} {float(kk * lam)!r}\n")
-        est = spectral.dixmier_sequence(report.eigen_primary)
-        with open(out / "dixmier.dat", "w") as f:
-            f.write("# n  dixmier_n\n")
-            for n, val in enumerate(est.sequence, start=1):
-                f.write(f"{n} {float(val)!r}\n")
-        if report.config.output.get("svg"):
-            write_svg_line(
-                out / "weyl.svg", k, k * pos, "Weyl plateau", "k", "k * lambda_k"
-            )
-            write_svg_line(
-                out / "dixmier.svg",
-                np.arange(1, len(est.sequence) + 1),
-                est.sequence,
-                "Dixmier estimator",
-                "n",
-                "partial sum / log(n+2)",
-            )
+    pos = report.eigen_primary.positive
+    k = np.arange(1, len(pos) + 1)
+    with open(out / "weyl.dat", "w") as f:
+        f.write("# k  k*lambda_k\n")
+        for kk, lam in zip(k, pos):
+            f.write(f"{kk} {float(kk * lam)!r}\n")
+    est = spectral.dixmier_sequence(report.eigen_primary)
+    with open(out / "dixmier.dat", "w") as f:
+        f.write("# n  dixmier_n\n")
+        for n, val in enumerate(est.sequence, start=1):
+            f.write(f"{n} {float(val)!r}\n")
+    if report.config.output.get("svg"):
+        write_svg_line(
+            out / "weyl.svg", k, k * pos, "Weyl plateau", "k", "k * lambda_k"
+        )
+        write_svg_line(
+            out / "dixmier.svg",
+            np.arange(1, len(est.sequence) + 1),
+            est.sequence,
+            "Dixmier estimator",
+            "n",
+            "partial sum / log(n+2)",
+        )
     # The numerical health of the run and its timings go to sidecars, so
     # summary.json stays byte-stable.
-    solves = {"primary": report.eigen_primary, "compare": report.eigen_compare}
     diagnostics = {
-        "orlicz": report.orlicz_searches,
-        "eigensolve": {
-            name: {key: rep.metadata[key] for key in _EIGEN_MARGINS if key in rep.metadata}
-            for name, rep in solves.items()
-            if rep is not None
-        },
+        "orlicz": {key: {"evaluations": r.iterations, "residual": r.residual} for key, r in report.norms.items()},
+        "eigensolve": _per_solve(report.solves, _solve_health),
     }
     with open(out / "diagnostics.json", "w") as f:
         json.dump(_jsonable(diagnostics), f, indent=2, sort_keys=True)

@@ -198,16 +198,22 @@ def bisect_threshold(excess, lo: float, hi: float, f_lo: float, f_hi: float) -> 
     Each step evaluates excess at the regula falsi point of the bracket,
     Illinois variant (Dowell and Jarratt, BIT 11 (1971) 168-174): the value
     kept at an endpoint that two steps in a row left in place is halved.
-    The step takes the midpoint 0.5 lo + 0.5 hi instead when that point is
-    not strictly inside the bracket or a value is not finite.  The loop
-    stops only when the midpoint equals an endpoint, so for a monotone test
-    it returns the same adjacent pair as bisection, with no tolerance and
-    no step cap.  Returns (lo, hi, evaluations)."""
-    steps, moved = 0, 0  # moved: +1 if the last step moved lo, -1 if hi
+    A point that rounds onto an endpoint (an excess of exactly 0, or one far
+    smaller than the other endpoint's) takes the adjacent double inside the
+    bracket instead, once: a landing right after such a step, or a value
+    that is not finite, takes the midpoint 0.5 lo + 0.5 hi.  The loop stops
+    only when the midpoint equals an endpoint, so for a monotone test it
+    returns the same adjacent pair as bisection, with no tolerance and no
+    step cap.  Returns (lo, hi, evaluations)."""
+    steps, moved, nudged = 0, 0, False  # moved: +1 if the last step moved lo, -1 if hi
     while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
-        x = lo + f_lo / (f_lo - f_hi) * (hi - lo) if f_lo > f_hi else math.nan
-        if not lo < x < hi:  # also NaN, from an infinite value
-            x = mid
+        x = lo + f_lo / (f_lo - f_hi) * (hi - lo) if 0 < f_lo - f_hi < math.inf else math.nan
+        if lo < x < hi:
+            nudged = False
+        elif nudged or math.isnan(x):
+            x, nudged = mid, False
+        else:  # x rounded onto an endpoint: take its neighbour inside the bracket
+            x, nudged = math.nextafter(lo if x <= lo else hi, mid), True
         fx = excess(x)
         steps += 1
         if fx > 0:

@@ -115,11 +115,11 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
     that brings ||M|| into [1/2, 1), so its tolerances hold at any scale;
     dsterf sees T unscaled.  Below the normal range that power overflows,
     and ||M|| there is a SolverError.
-    A passed check leaves its margins in the report's metadata:
+    A passed check leaves its margins as the report's metadata:
     `residual_rel` (largest residual / ||M||), `bisection_gap_rel` (largest
     bisection-dsterf gap / ||M||) and `checked_range` (lo, hi), the 0-based
     ascending indices checked.  With n = 1 or M = 0 nothing is checked, and
-    none of the three keys is set.  A LAPACK failure on T is a SolverError.
+    the metadata is empty.  A LAPACK failure on T is a SolverError.
 
     The reduction runs in place on op.matrix, so no second n x n array is
     formed: LAPACK reduces the Fortran-order view m.T from its lower
@@ -155,7 +155,7 @@ def eigen_spectrum(op: AssembledOperator) -> EigenReport:
         _mirror_lower(m)
         np.fill_diagonal(m, diag)
 
-    metadata = dict(op.metadata)
+    metadata = {}
     if checked:
         # scale M q through scipy's BLAS, like every LAPACK call above: m.T
         # is M in Fortran order, since M is symmetric; a NaN fails the check

@@ -256,20 +256,36 @@ def test_run_records_its_numerical_health_in_diagnostics_json(tmp_path):
     report = run_experiment(ExperimentConfig.from_dict(_circle_fourier_at(0.0, compare)), tmp_path)
     diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
     assert set(diagnostics) == {"orlicz", "eigensolve"}
-    assert set(diagnostics["orlicz"]) == set(report.orlicz) == {"luxemburg_psi", "luxemburg_phi", "averaged"}
-    for search in diagnostics["orlicz"].values():
-        assert set(search) == {"evaluations", "residual"}
+    assert set(diagnostics["orlicz"]) == set(report.norms) == {"luxemburg_psi", "luxemburg_phi", "averaged"}
+    for name, search in diagnostics["orlicz"].items():
+        assert search == {"evaluations": report.norms[name].iterations, "residual": report.norms[name].residual}
         assert search["evaluations"] > 0 and 0.0 <= search["residual"] <= 1e-10
-    solves = {"primary": report.eigen_primary, "compare": report.eigen_compare}
-    assert set(diagnostics["eigensolve"]) == set(solves)
-    for name, rep in solves.items():
+    assert set(diagnostics["eigensolve"]) == set(report.solves) == {"primary", "compare"}
+    for name, rep in report.solves.items():
         lo, hi = rep.metadata["checked_range"]
         assert diagnostics["eigensolve"][name] == {
             "residual_rel": rep.metadata["residual_rel"],
             "bisection_gap_rel": rep.metadata["bisection_gap_rel"],
             "checked_range": [lo, hi],
+            "n_at_floor": rep.size - len(rep.positive) - len(rep.negative),
         }
     assert "diagnostics" not in json.loads((tmp_path / "summary.json").read_text())
+
+
+def test_diagnostics_json_records_every_variant_solve(tmp_path):
+    # the circle's default pure_log variant is checked like the primary solve
+    raw = {"scenario": "circle", "measure": {"params": {"atoms": 200}}, "checks": []}
+    run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+    eigensolve = json.loads((tmp_path / "diagnostics.json").read_text())["eigensolve"]
+    spectral_summary = json.loads((tmp_path / "summary.json").read_text())["spectral"]
+    assert set(eigensolve) == {"primary", "variants"} and set(eigensolve["variants"]) == {"pure_log"}
+    for health, summary in [
+        (eigensolve["primary"], spectral_summary["primary"]),
+        (eigensolve["variants"]["pure_log"], spectral_summary["variants"]["pure_log"]),
+    ]:
+        assert set(health) == {"residual_rel", "bisection_gap_rel", "checked_range", "n_at_floor"}
+        assert 0 <= health["residual_rel"] <= 1e-8 and 0 <= health["bisection_gap_rel"] <= 1e-8
+        assert health["n_at_floor"] == summary["size"] - summary["n_positive"] - summary["n_negative"] >= 0
 
 
 def test_fourier_route_reads_coordinates_modulo_the_period(tmp_path):

@@ -272,3 +272,34 @@ def test_orlicz_norms_of_an_80k_atom_cloud_take_half_the_bisection_evaluations()
     v = SignedDensity(1.75 + 0.5 * np.sin(3 * x + 1.25) * np.cos(y))
     for norm in (luxemburg_norm(v, mu, "psi"), luxemburg_norm(v, mu, "phi"), averaged_norm(v, mu)):
         assert 0 < norm.iterations <= 53 // 2
+
+
+# The three norms (psi-Luxemburg, phi-Luxemburg, averaged) of catalog measures
+# with their constant density, as the root search has always returned them.
+# Each averaged norm hits an exact 0 excess, after which midpoint steps took
+# its search to 34 or 35 evaluations.
+CONSTANT_DENSITY_NORMS = {
+    ("circle", 400): ("0x1.a0381fd2a8ec8p+0", "0x1.f05965383e84ep+0", "0x1.cce9615b40224p+2"),
+    ("circle", 1600): ("0x1.a0381fd2a8ec8p+0", "0x1.f05965383e84ep+0", "0x1.cce9615b40224p+2"),
+    ("circle", 80_000): ("0x1.a0381fd2a8ec8p+0", "0x1.f05965383e84ep+0", "0x1.cce9615b40221p+2"),
+    ("sphere", 2000): ("0x1.2d695beaeec61p+1", "0x1.562a2779ff899p+1", "0x1.cce9615b40224p+3"),
+    ("two_circles", None): ("0x1.02af103274c71p+1", "0x1.2b2c7c626cdeep+1", "0x1.59af09047019ap+3"),
+    ("sierpinski", None): ("0x1.29f8d9d61337cp-1", "0x1.beb2313ca4790p-1", "0x1.256ceb3d765a3p+0"),
+    ("half_signed_circle", None): ("0x1.a0381fd2a8ec8p+0", "0x1.f05965383e84ep+0", "0x1.cce9615b40224p+2"),
+}
+
+
+@pytest.mark.parametrize("name, atoms", list(CONSTANT_DENSITY_NORMS), ids=lambda x: str(x))
+def test_root_search_keeps_its_doubles_and_steps_off_an_exact_zero(name, atoms):
+    mu, v = builtin_measure(name, None if atoms is None else {"atoms": atoms})
+    norms = (luxemburg_norm(v, mu, "psi"), luxemburg_norm(v, mu, "phi"), averaged_norm(v, mu))
+    assert tuple(norm.value.hex() for norm in norms) == CONSTANT_DENSITY_NORMS[name, atoms]
+    assert norms[2].iterations <= 16
+
+
+def test_phi_luxemburg_norm_of_circle_plus_square_takes_twelve_evaluations():
+    # its regula falsi points rounded onto an endpoint, and midpoint steps took 39
+    mu, v = builtin_measure("circle_plus_square")
+    norm = luxemburg_norm(v, mu, "phi")
+    assert norm.value.hex() == "0x1.09910c3572f7dp+1"
+    assert norm.iterations <= 12

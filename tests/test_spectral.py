@@ -101,7 +101,8 @@ def test_eigen_spectrum_records_the_check_margins():
     assert rep.metadata["checked_range"] == (n - spectral.RESIDUAL_PAIRS, n - 1)
     assert 0 <= rep.metadata["residual_rel"] < 1e-12
     assert 0 <= rep.metadata["bisection_gap_rel"] < 1e-12
-    assert rep.metadata["cutoff"] == 7
+    # the report's metadata is the check's margins alone; the operator's stays put
+    assert set(rep.metadata) == {"checked_range", "residual_rel", "bisection_gap_rel"}
     assert op.metadata == {"cutoff": 7}
 
 
@@ -615,12 +616,12 @@ def test_plotdata_constant_for_exact_law(tmp_path):
     dummy = ExperimentReport(
         config=cfg,
         measure={},
-        orlicz={},
+        norms={},
         prediction={},
+        solves={"primary": rep},
         spectral_summary={},
         verdicts=[],
         timings={},
-        eigen_primary=rep,
     )
     emit_report(dummy, tmp_path)
     rows = [
