@@ -1,11 +1,12 @@
 """Experiment pipeline: measure -> operator -> spectrum -> analyses -> report.
 
 A run is fully determined by its config (scenario + overrides + seed); the
-summary JSON is byte-identical across reruns.  Wall-clock timings are kept
-out of the summary for that reason and land in a sidecar timings file; the
-numerical health of the run (the Orlicz searches' evaluations and residuals,
-each eigensolve's check margins and count of eigenvalues at the floor) lands
-in diagnostics.json.
+summary JSON is byte-identical across reruns.  What may differ between
+reruns or machines is kept out of the summary for that reason and lands in
+one sidecar, diagnostics.json: the numerical health of the run (the Orlicz
+searches' evaluations and residuals, each eigensolve's check margins and
+count of eigenvalues at the floor), the wall-clock seconds of each stage,
+the BLAS thread variables and the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import math
 import numbers
 import operator
+import os
+import resource
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -726,6 +729,12 @@ def _jsonable(obj):
     return obj
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(_jsonable(obj), f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def write_svg_line(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
     """Tiny dependency-free SVG polyline plot."""
     xs = np.asarray(xs, dtype=float)
@@ -758,13 +767,11 @@ def write_svg_line(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
 
 
 def emit_report(report: ExperimentReport, out_dir) -> None:
-    """Write the summary JSON and plain plot-data files (spectrum CSVs are
-    written by the pipeline as soon as spectra exist)."""
+    """Write the summary JSON, the diagnostics.json sidecar and plain plot-data
+    files (spectrum CSVs are written by the pipeline as soon as spectra exist)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.json", "w") as f:
-        json.dump(_jsonable(report.summary_dict()), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "summary.json", report.summary_dict())
     pos = report.eigen_primary.positive
     k = np.arange(1, len(pos) + 1)
     with open(out / "weyl.dat", "w") as f:
@@ -788,15 +795,14 @@ def emit_report(report: ExperimentReport, out_dir) -> None:
             "n",
             "partial sum / log(n+2)",
         )
-    # The numerical health of the run and its timings go to sidecars, so
-    # summary.json stays byte-stable.
+    # The numerical health of the run, its timings and its environment go to
+    # one sidecar, so summary.json stays byte-stable.
     diagnostics = {
         "orlicz": {key: {"evaluations": r.iterations, "residual": r.residual} for key, r in report.norms.items()},
         "eigensolve": _per_solve(report.solves, _solve_health),
+        "timings": report.timings,
+        "threads": {name: os.environ.get(name) for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        # the process's peak, so in a long-lived process it covers earlier runs
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    with open(out / "diagnostics.json", "w") as f:
-        json.dump(_jsonable(diagnostics), f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(out / "timings.txt", "w") as f:
-        for name, dt in report.timings.items():
-            f.write(f"{name} {dt:.3f}\n")
+    _write_json(out / "diagnostics.json", diagnostics)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -42,7 +43,7 @@ def test_run_small_circle(tmp_path):
     cfg = ExperimentConfig.from_dict(SMALL_CIRCLE)
     report = run_experiment(cfg, tmp_path / "out")
     assert report.all_passed, report.verdicts
-    for artifact in ("summary.json", "spectrum.csv", "weyl.dat", "dixmier.dat", "measure.txt", "timings.txt"):
+    for artifact in ("summary.json", "spectrum.csv", "weyl.dat", "dixmier.dat", "measure.txt", "diagnostics.json"):
         assert (tmp_path / "out" / artifact).exists(), artifact
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert set(summary) == {
@@ -255,7 +256,7 @@ def test_run_records_its_numerical_health_in_diagnostics_json(tmp_path):
     compare = {"route": "logkernel", "kernel": "bessel"}
     report = run_experiment(ExperimentConfig.from_dict(_circle_fourier_at(0.0, compare)), tmp_path)
     diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
-    assert set(diagnostics) == {"orlicz", "eigensolve"}
+    assert set(diagnostics) == {"orlicz", "eigensolve", "timings", "threads", "peak_rss_mb"}
     assert set(diagnostics["orlicz"]) == set(report.norms) == {"luxemburg_psi", "luxemburg_phi", "averaged"}
     for name, search in diagnostics["orlicz"].items():
         assert search == {"evaluations": report.norms[name].iterations, "residual": report.norms[name].residual}
@@ -286,6 +287,33 @@ def test_diagnostics_json_records_every_variant_solve(tmp_path):
         assert set(health) == {"residual_rel", "bisection_gap_rel", "checked_range", "n_at_floor"}
         assert 0 <= health["residual_rel"] <= 1e-8 and 0 <= health["bisection_gap_rel"] <= 1e-8
         assert health["n_at_floor"] == summary["size"] - summary["n_positive"] - summary["n_negative"] >= 0
+
+
+def test_diagnostics_json_records_stage_timings_and_blas_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    raw = {"scenario": "circle", "measure": {"params": {"atoms": 200}}, "checks": []}
+    report = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+    diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+    timings = diagnostics["timings"]
+    assert set(timings) == {
+        "measure",
+        "measure_io",
+        "diagnostics",
+        "orlicz",
+        "prediction",
+        "assemble",
+        "eigensolve",
+        "spectrum_io",
+        "assemble_pure_log",
+        "eigensolve_pure_log",
+    }
+    assert timings == report.timings
+    assert all(isinstance(dt, float) and math.isfinite(dt) and dt >= 0 for dt in timings.values())
+    assert diagnostics["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+    assert diagnostics["peak_rss_mb"] > 0
+    assert not (tmp_path / "timings.txt").exists()
 
 
 def test_fourier_route_reads_coordinates_modulo_the_period(tmp_path):
